@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Per-stage timings of the Toda check, as recorded in the BENCH_*.json files.
+
+    python3 scripts/bench_stages.py [--src DIR] [--orders 8,8 10,10 12,12]
+
+Imports ``hurwitz_toda`` from DIR (default: ``src/`` of this checkout), so
+the same script times any other checkout.  For each order (d_max, b_max) it
+times, with ``time.perf_counter`` in this one process:
+
+    build_tau     tau assembly from a cold character cache
+    log           tau.log()
+    scale_q_exp   tau.scale_q_exp(1) and tau.scale_q_exp(-1)
+    scaled        tau(e^beta q) * tau(e^-beta q)   \\
+    tau_mixed     tau * d2tau/dp1dp'1               > toda_residual's products,
+    d1_d1p        (dtau/dp1)(dtau/dp'1)            /  in its order
+
+with the term count of each result, and checks that the residual vanishes.
+Prints one JSON object.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+
+
+def stages(ht, d_max: int, b_max: int) -> dict:
+    out = {}
+
+    def timed(name, fn):
+        t0 = time.perf_counter()
+        results = fn()
+        out[name] = {"s": round(time.perf_counter() - t0, 4),
+                     "terms": sum(len(r) for r in results)}
+        return results
+
+    cache = ht.CharacterCache()
+    (tau,) = timed("build_tau", lambda: [ht.build_tau(d_max, b_max, cache=cache)])
+    timed("log", lambda: [tau.log()])
+    up, down = timed("scale_q_exp", lambda: [tau.scale_q_exp(1), tau.scale_q_exp(-1)])
+    d1 = tau.d_dp(1)
+    d1p = tau.d_dp(1, prime=True)
+    mixed = d1.d_dp(1, prime=True)
+    (scaled,) = timed("scaled", lambda: [up * down])
+    (tau_mixed,) = timed("tau_mixed", lambda: [tau * mixed])
+    (d1_d1p,) = timed("d1_d1p", lambda: [d1 * d1p])
+    if not (tau_mixed - d1_d1p - scaled.mul_q_power(1)).is_zero():
+        raise SystemExit(f"toda residual nonzero at ({d_max}, {b_max})")
+    return out
+
+
+def main(argv=None) -> int:
+    here = os.path.dirname(os.path.abspath(__file__))
+    parser = argparse.ArgumentParser(description="Per-stage timings of the Toda check.")
+    parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"))
+    parser.add_argument("--orders", nargs="+", default=["8,8", "10,10", "12,12"])
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    import hurwitz_toda as ht
+
+    report = {}
+    for order in args.orders:
+        d_max, b_max = (int(x) for x in order.split(","))
+        report[order] = stages(ht, d_max, b_max)
+        print(f"{order}: {report[order]}", file=sys.stderr)
+    print(json.dumps(report, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

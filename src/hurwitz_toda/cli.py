@@ -52,7 +52,7 @@ def _env_int(name: str, default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"invalid integer in ${name}: {raw!r}")
+        raise ValueError(f"invalid integer in ${name}: {raw!r}") from None
 
 
 class _OutputError(Exception):
@@ -109,7 +109,7 @@ def _parse_partition(text: str) -> Partition:
     try:
         return Partition.from_string(text)
     except ValueError as exc:
-        raise SystemExit(f"bad partition {text!r}: {exc}")
+        raise ValueError(f"bad partition {text!r}: {exc}") from None
 
 
 def cmd_table(args) -> int:
@@ -163,7 +163,8 @@ def cmd_verify(args) -> int:
         for k, v in report.notes.items():
             lines.append(f"  note {k}: {v}")
         if report.first_failure is not None:
-            lines.append(f"  first offending monomial: {report.first_failure}")
+            lines.append(f"  first offending monomial: {report.first_failure}"
+                         f" = {format_rational(report.first_failure_value)}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0 if report.passed else 1
 

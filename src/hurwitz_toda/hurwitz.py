@@ -131,35 +131,45 @@ def build_tau(d_max: int, b_max: int, *,
     """Generating series of disconnected counts, truncated at (d_max, b_max).
 
     The coefficient of q^d beta^b p_mu p'_nu is the disconnected count with
-    profiles (mu, nu) and b transposition points, divided by b!.  Assembled
-    shape by shape: each shape of size d contributes q^d e^{beta f2} times
-    the product of its Schur expansions in the two families.
+    profiles (mu, nu) and b transposition points, divided by b!: the integer
+    sum over shapes of chi(mu) chi(nu) f2^b, over z_mu z_nu b!.  The sum is
+    symmetric in mu and nu, so it is accumulated for one ordering only.
     """
     use_default = cache is None or cache is DEFAULT_CACHE
     if use_default and (d_max, b_max) in _TAU_CACHE:
         return _TAU_CACHE[(d_max, b_max)]
     cc = cache or DEFAULT_CACHE
+    bfact = [factorial(b) for b in range(b_max + 1)]
     coeffs: dict = {}
     for d in range(d_max + 1):
-        for lam in partitions_of(d):
-            schur = [
-                (mu.parts, Fraction(cc.character(lam, mu), z_mu(mu)))
-                for mu in partitions_of(d)
-                if cc.character(lam, mu)
-            ]
+        classes = list(partitions_of(d))
+        # (i, j) with i <= j -> integer sums over shapes of
+        # chi(mu_i) chi(mu_j) f2^b, for b = 0..b_max
+        sums: dict[tuple[int, int], list[int]] = {}
+        for lam in classes:
+            chi = [cc.character(lam, mu) for mu in classes]
             f2 = f2_contents(lam)
-            weight = Fraction(1)
-            for b in range(b_max + 1):
-                if b:
-                    if f2 == 0:
-                        break
-                    weight *= Fraction(f2, b)
-                for mu, cmu in schur:
-                    for nu, cnu in schur:
-                        key = (d, b, mu, nu, 0, 0)
-                        val = coeffs.get(key)
-                        term = weight * cmu * cnu
-                        coeffs[key] = term if val is None else val + term
+            powers = [f2 ** b for b in range(b_max + 1)]
+            for i, ci in enumerate(chi):
+                if not ci:
+                    continue
+                for j in range(i, len(classes)):
+                    w = ci * chi[j]
+                    if not w:
+                        continue
+                    vec = sums.get((i, j))
+                    if vec is None:
+                        vec = sums[(i, j)] = [0] * (b_max + 1)
+                    for b, p in enumerate(powers):
+                        vec[b] += w * p
+        zs = [z_mu(mu) for mu in classes]
+        for (i, j), vec in sums.items():
+            mu, nu = classes[i].parts, classes[j].parts
+            for b, x in enumerate(vec):
+                if x:
+                    val = Fraction(x, zs[i] * zs[j] * bfact[b])
+                    coeffs[(d, b, mu, nu, 0, 0)] = val
+                    coeffs[(d, b, nu, mu, 0, 0)] = val
     tau = TruncatedSeries(d_max, b_max, coeffs=coeffs)
     if use_default:
         _TAU_CACHE[(d_max, b_max)] = tau

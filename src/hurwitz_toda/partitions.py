@@ -208,12 +208,13 @@ def maya_set(lam: Partition) -> MayaSet:
     return MayaSet(plus=plus, minus=minus)
 
 
-def f2_contents(lam: Partition) -> Fraction:
+def f2_contents(lam: Partition) -> int:
     """Transposition eigenvalue of ``lam`` as a row sum.
 
     Computed as (1/2) sum_i [(lam_i - i + 1/2)^2 - (-i + 1/2)^2]; the terms
     vanish identically once lam_i = 0, so the sum stops at the last row.
-    Equals the total content sum_{(i,j)} (j - i) of the diagram.
+    Equals the total content sum_{(i,j)} (j - i) of the diagram, an integer:
+    each row contributes 4 lam_i (lam_i + 1 - 2i), a multiple of eight.
     """
     lam = Partition(lam)
     num = 0
@@ -221,7 +222,7 @@ def f2_contents(lam: Partition) -> Fraction:
         a = 2 * (lam.parts[i - 1] - i) + 1
         c = 1 - 2 * i
         num += a * a - c * c
-    return Fraction(num, 8)
+    return num // 8
 
 
 def f2_maya(lam: Partition) -> Fraction:

@@ -9,8 +9,10 @@ identity checks.
 
 A monomial key is the tuple ``(dq, b, mu, nu, z, s)`` where ``mu`` and ``nu``
 are weakly decreasing tuples recording the exponent patterns of the two
-variable families (p_mu = prod_i p_{mu_i}).  Coefficients are
-``fractions.Fraction``; nothing here ever touches floating point.
+variable families (p_mu = prod_i p_{mu_i}).  Coefficients are stored as
+``fractions.Fraction``; the product, exp/log and q-scaling kernels work on
+integer numerators over a common denominator.  Nothing here ever touches
+floating point.
 
 Series are immutable: every operation returns a new value, so instances can
 be shared freely across threads.
@@ -21,7 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable, Iterable, Iterator
 
 Key = tuple[int, int, tuple, tuple, int, int]
@@ -231,8 +233,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        acc = _mul_maps(self._coeffs, other._coeffs, self)
-        return self._same_caps(acc)
+        return self._same_caps(_product(self._coeffs, other._coeffs, self))
 
     __rmul__ = __mul__
 
@@ -242,71 +243,73 @@ class TruncatedSeries:
         """Exponential of a series with zero constant term.
 
         Computed order by order along the additive grade dq + b + weight(mu)
-        + weight(nu) + s, which avoids forming full powers of the argument.
+        + weight(nu) + s, which avoids forming full powers of the argument:
+        E_g = (1/g) sum_h h S_h E_{g-h} for the graded parts S_h.
         """
         if self.constant_term() != 0:
             raise ValueError("exp requires zero constant term")
-        parts = self._graded_parts("exp")
-        result: dict[int, dict[Key, Fraction]] = {0: {ZERO_KEY: _ONE}}
+        nums, den = self._graded_parts("exp")
+        parts = {g: _grouped(p) for g, p in nums.items()}
+        merged: dict = {}
+        # grade -> (grouped numerators, their common denominator)
+        powers: dict[int, tuple[Groups, int]] = {0: (_grouped({ZERO_KEY: 1}), 1)}
+        total: dict[Key, Fraction] = {ZERO_KEY: _ONE}
         for g in range(1, self._max_grade() + 1):
-            acc: dict[Key, Fraction] = {}
-            for h, sh in parts.items():
-                if h > g:
-                    continue
-                prev = result.get(g - h)
-                if not prev:
-                    continue
-                scaled = {k: v * h for k, v in sh.items()}
-                _mul_into(acc, scaled, prev, self)
-            if acc:
-                inv = Fraction(1, g)
-                result[g] = {k: v * inv for k, v in acc.items() if v != 0}
-        total: dict[Key, Fraction] = {}
-        for part in result.values():
-            for k, v in part.items():
-                total[k] = total.get(k, _ZERO) + v
+            hs = [h for h in parts if h <= g and g - h in powers]
+            m = lcm(*(powers[g - h][1] for h in hs))
+            acc: dict = {}
+            for h in hs:
+                prev, prev_den = powers[g - h]
+                _mul_groups(acc, _scaled(parts[h], h * (m // prev_den)), prev, self, merged)
+            part = {k: Fraction(x, g * m * den) for k, x in _flat(acc)}
+            if part:
+                total.update(part)
+                part_nums, part_den = _numerators(part)
+                powers[g] = (_grouped(part_nums), part_den)
         return self._same_caps(total)
 
     def log(self) -> "TruncatedSeries":
         """Logarithm of a series with constant term one.
 
-        Inverse of :meth:`exp` up to truncation; same graded recursion.
+        Inverse of :meth:`exp` up to truncation; same graded recursion,
+        L_g = S_g - (1/g) sum_{h<g} h L_h S_{g-h}.
         """
         if self.constant_term() != 1:
             raise ValueError("log requires constant term 1")
-        parts = self._graded_parts("log")
-        logparts: dict[int, dict[Key, Fraction]] = {}
-        for g in range(1, self._max_grade() + 1):
-            acc: dict[Key, Fraction] = dict(parts.get(g, {}))
-            corr: dict[Key, Fraction] = {}
-            for h in range(1, g):
-                lh = logparts.get(h)
-                sgh = parts.get(g - h)
-                if not lh or not sgh:
-                    continue
-                scaled = {k: v * h for k, v in lh.items()}
-                _mul_into(corr, scaled, sgh, self)
-            inv = Fraction(1, g)
-            for k, v in corr.items():
-                acc[k] = acc.get(k, _ZERO) - v * inv
-            acc = {k: v for k, v in acc.items() if v != 0}
-            if acc:
-                logparts[g] = acc
+        nums, den = self._graded_parts("log")
+        parts = {g: _grouped(p) for g, p in nums.items()}
+        merged: dict = {}
+        logs: dict[int, tuple[Groups, int]] = {}
         total: dict[Key, Fraction] = {}
-        for part in logparts.values():
-            for k, v in part.items():
-                total[k] = total.get(k, _ZERO) + v
+        for g in range(1, self._max_grade() + 1):
+            hs = [h for h in logs if g - h in parts]
+            m = lcm(*(logs[h][1] for h in hs))
+            acc: dict = {}
+            for h in hs:
+                lh, lh_den = logs[h]
+                _mul_groups(acc, _scaled(lh, h * (m // lh_den)), parts[g - h], self, merged)
+            scale = g * m
+            numer = {k: x * scale for k, x in nums.get(g, {}).items()}
+            for k, x in _flat(acc):
+                numer[k] = numer.get(k, 0) - x
+            part = {k: Fraction(x, scale * den) for k, x in numer.items() if x}
+            if part:
+                total.update(part)
+                part_nums, part_den = _numerators(part)
+                logs[g] = (_grouped(part_nums), part_den)
         return self._same_caps(total)
 
-    def _graded_parts(self, opname: str) -> dict[int, dict[Key, Fraction]]:
-        parts: dict[int, dict[Key, Fraction]] = defaultdict(dict)
-        for key, val in self._coeffs.items():
+    def _graded_parts(self, opname: str) -> tuple[dict[int, dict[Key, int]], int]:
+        """Numerators of the nonconstant terms over one common denominator, by grade."""
+        nums, den = _numerators(self._coeffs)
+        parts: dict[int, dict[Key, int]] = defaultdict(dict)
+        for key, x in nums.items():
             g = _grade(key)
             if g == 0 and key != ZERO_KEY:
                 raise ValueError(f"{opname} does not support bare z monomials")
             if key != ZERO_KEY:
-                parts[g][key] = val
-        return parts
+                parts[g][key] = x
+        return parts, den
 
     def _max_grade(self) -> int:
         return self.d_max + self.b_max + 2 * self.p_weight_max + self.s_max
@@ -336,22 +339,23 @@ class TruncatedSeries:
         A term of q-degree d and beta-degree b spawns beta-degrees b + j with
         coefficient multiplied by (n d)^j / j!.  Only lower beta orders feed
         each output order, so exactness is preserved across the whole window.
+        Expanded in integers over the common denominator times b_max!.
         """
-        acc: dict[Key, Fraction] = {}
-        for key, val in self._coeffs.items():
-            dq, b = key[0], key[1]
+        nums, den = _numerators(self._coeffs)
+        b_max = self.b_max
+        weights = [factorial(b_max) // factorial(j) for j in range(b_max + 1)]
+        acc: dict = {}
+        for (dq, b, mu, nu, z, s), x in nums.items():
+            gkey = (dq, mu, nu, z, s)
+            vec = acc.get(gkey)
+            if vec is None:
+                vec = acc[gkey] = [0] * (b_max + 1)
             base = n * dq
-            if base == 0:
-                acc[key] = acc.get(key, _ZERO) + val
-                continue
-            power = 1
-            for j in range(self.b_max - b + 1):
-                if j:
-                    power *= base
-                term = val * Fraction(power, factorial(j))
-                newkey = (dq, b + j) + key[2:]
-                acc[newkey] = acc.get(newkey, _ZERO) + term
-        return self._same_caps(acc)
+            for j in range(b_max - b + 1 if base else 1):
+                vec[b + j] += x * weights[j]
+                x *= base
+        den *= weights[0]
+        return self._same_caps({k: Fraction(x, den) for k, x in _flat(acc)})
 
     def mul_exp_beta(self, c: Fraction) -> "TruncatedSeries":
         """Multiply by e^{c beta}, expanded through the beta cap."""
@@ -495,64 +499,112 @@ def _grade(key: Key) -> int:
     return key[0] + key[1] + sum(key[2]) + sum(key[3]) + key[5]
 
 
-def _merge_patterns(a: tuple, b: tuple) -> tuple:
-    if not a:
-        return b
-    if not b:
-        return a
-    return tuple(sorted(a + b, reverse=True))
+# -- integer kernels -----------------------------------------------------------
+#
+# The hot loops run on Python ints: an operand's coefficients are scaled to
+# one common denominator, and one Fraction is built per output term.  A
+# grouped operand maps q-degree to a list of (mu, weight(mu), rows), each row
+# being (nu, weight(nu), z, s, beta-vector) with the beta-vector a list of
+# (b, numerator) pairs in increasing b.
+
+Groups = dict[int, list[tuple[tuple, int, list]]]
 
 
-def _mul_maps(a: dict[Key, Fraction], b: dict[Key, Fraction],
-              caps: TruncatedSeries) -> dict[Key, Fraction]:
-    acc: dict[Key, Fraction] = {}
-    _mul_into(acc, a, b, caps)
-    return acc
+def _numerators(coeffs: dict[Key, Fraction]) -> tuple[dict[Key, int], int]:
+    """Integer numerators over the least common denominator, and that denominator."""
+    den = lcm(*(v.denominator for v in coeffs.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in coeffs.items()}, den
 
 
-def _mul_into(acc: dict[Key, Fraction], a: dict[Key, Fraction],
-              b: dict[Key, Fraction], caps: TruncatedSeries) -> None:
-    """Accumulate the truncated product of two coefficient maps into acc.
+def _grouped(nums: dict[Key, int]) -> Groups:
+    tree: dict = {}
+    for (dq, b, mu, nu, z, s), x in nums.items():
+        tree.setdefault(dq, {}).setdefault(mu, {}).setdefault((nu, z, s), []).append((b, x))
+    return {
+        dq: [(mu, sum(mu), [(nu, sum(nu), z, s, sorted(bv))
+                            for (nu, z, s), bv in rows.items()])
+             for mu, rows in by_mu.items()]
+        for dq, by_mu in tree.items()
+    }
 
-    Terms are bucketed by q-degree first: q-degrees add, so whole bucket
-    pairs beyond d_max are skipped without touching their contents.
+
+def _scaled(groups: Groups, factor: int) -> Groups:
+    if factor == 1:
+        return groups
+    return {
+        dq: [(mu, wm, [(nu, wn, z, s, [(b, x * factor) for b, x in bv])
+                       for nu, wn, z, s, bv in rows])
+             for mu, wm, rows in by_mu]
+        for dq, by_mu in groups.items()
+    }
+
+
+def _mul_groups(acc: dict, a: Groups, b: Groups, caps: TruncatedSeries,
+                merged: dict) -> None:
+    """Accumulate the truncated product of two grouped operands into acc.
+
+    ``acc`` maps (dq, mu, nu, z, s) to a dense integer beta-vector.  Pattern
+    merges are memoized in ``merged`` per pattern pair, so each is sorted once
+    however many beta terms the two groups carry.
     """
-    if not a or not b:
-        return
-    if len(a) > len(b):
-        a, b = b, a
-    by_da: dict[int, list] = defaultdict(list)
-    for key, val in a.items():
-        by_da[key[0]].append((key, val, sum(key[2]), sum(key[3])))
-    by_db: dict[int, list] = defaultdict(list)
-    for key, val in b.items():
-        by_db[key[0]].append((key, val, sum(key[2]), sum(key[3])))
-    d_max, b_max = caps.d_max, caps.b_max
-    pw_max = caps.p_weight_max
+    d_max, b_max, pw_max = caps.d_max, caps.b_max, caps.p_weight_max
     z_lo, z_hi, s_hi = caps.z_min, caps.z_max, caps.s_max
-    for da, items_a in by_da.items():
-        for db, items_b in by_db.items():
+    width = b_max + 1
+    for da, by_mu_a in a.items():
+        for db, by_mu_b in b.items():
             dq = da + db
             if dq > d_max:
                 continue
-            for k1, c1, w1m, w1n in items_a:
-                b1, z1, s1 = k1[1], k1[4], k1[5]
-                for k2, c2, w2m, w2n in items_b:
-                    bb = b1 + k2[1]
-                    if bb > b_max:
+            for mu1, wm1, rows1 in by_mu_a:
+                for mu2, wm2, rows2 in by_mu_b:
+                    if wm1 + wm2 > pw_max:
                         continue
-                    if w1m + w2m > pw_max or w1n + w2n > pw_max:
-                        continue
-                    z = z1 + k2[4]
-                    if z < z_lo or z > z_hi:
-                        continue
-                    s = s1 + k2[5]
-                    if s > s_hi:
-                        continue
-                    key = (dq, bb, _merge_patterns(k1[2], k2[2]),
-                           _merge_patterns(k1[3], k2[3]), z, s)
-                    prev = acc.get(key)
-                    acc[key] = c1 * c2 if prev is None else prev + c1 * c2
+                    mu = merged.get((mu1, mu2))
+                    if mu is None:
+                        mu = merged[(mu1, mu2)] = tuple(sorted(mu1 + mu2, reverse=True))
+                    for nu1, wn1, z1, s1, bv1 in rows1:
+                        for nu2, wn2, z2, s2, bv2 in rows2:
+                            if wn1 + wn2 > pw_max:
+                                continue
+                            z = z1 + z2
+                            if z < z_lo or z > z_hi:
+                                continue
+                            s = s1 + s2
+                            if s > s_hi:
+                                continue
+                            nu = merged.get((nu1, nu2))
+                            if nu is None:
+                                nu = merged[(nu1, nu2)] = tuple(sorted(nu1 + nu2, reverse=True))
+                            gkey = (dq, mu, nu, z, s)
+                            vec = acc.get(gkey)
+                            if vec is None:
+                                vec = acc[gkey] = [0] * width
+                            for b1, x in bv1:
+                                lim = b_max - b1
+                                for b2, y in bv2:
+                                    if b2 > lim:
+                                        break
+                                    vec[b1 + b2] += x * y
+
+
+def _flat(acc: dict) -> Iterator[tuple[Key, int]]:
+    """Nonzero entries of a grouped accumulator, as (key, numerator)."""
+    for (dq, mu, nu, z, s), vec in acc.items():
+        for b, x in enumerate(vec):
+            if x:
+                yield (dq, b, mu, nu, z, s), x
+
+
+def _product(a: dict[Key, Fraction], b: dict[Key, Fraction],
+             caps: TruncatedSeries) -> dict[Key, Fraction]:
+    if not a or not b:
+        return {}
+    na, den_a = _numerators(a)
+    nb, den_b = _numerators(b)
+    acc: dict = {}
+    _mul_groups(acc, _grouped(na), _grouped(nb), caps, {})
+    den = den_a * den_b
+    return {k: Fraction(x, den) for k, x in _flat(acc)}
 
 
 def _power_expansions(e: int, terms: tuple[ShiftTerm, ...]):

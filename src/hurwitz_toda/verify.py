@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .characters import CharacterCache
-from .hurwitz import build_tau, simple_hurwitz
+from .hurwitz import build_tau, format_rational, simple_hurwitz
 from .series import Key, ShiftTerm, TruncatedSeries, key_to_json_obj, make_key
 
 
@@ -31,7 +31,7 @@ class VerificationReport:
 
     ``passed`` holds exactly when the residual series has an empty
     coefficient map; ``first_failure`` names the smallest offending monomial
-    otherwise.
+    otherwise, and ``first_failure_value`` is its residual coefficient.
     """
 
     identity: str
@@ -41,8 +41,14 @@ class VerificationReport:
     first_failure: Key | None
     notes: dict = field(default_factory=dict)
 
+    @property
+    def first_failure_value(self) -> Fraction | None:
+        if self.first_failure is None:
+            return None
+        return self.residual.coefficient(self.first_failure)
+
     def to_json_obj(self) -> dict:
-        return {
+        obj = {
             "identity": self.identity,
             "orders": self.orders,
             "pass": self.passed,
@@ -52,6 +58,10 @@ class VerificationReport:
             ),
             "notes": {k: str(v) for k, v in self.notes.items()},
         }
+        # only failing reports carry a residual value
+        if self.first_failure is not None:
+            obj["first_failure_value"] = format_rational(self.first_failure_value)
+        return obj
 
 
 def _report(identity: str, orders: dict, residual: TruncatedSeries,

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hurwitz_toda import cli
 from hurwitz_toda.cli import main
 
 
@@ -71,6 +72,11 @@ class TestSingleQueries:
         code, _, err = run(capsys, "double", "--mu", "2", "--nu", "3", "-b", "0")
         assert code == 2 and "same size" in err
 
+    def test_bad_partition_usage_error(self, capsys):
+        code, out, err = run(capsys, "double", "--mu", "0", "--nu", "1")
+        assert code == 2 and out == ""
+        assert "bad partition '0'" in err
+
     def test_no_floats_in_output(self, capsys):
         _, out, _ = run(capsys, "table", "--dmax", "2", "--bmax", "2", "--format", "json")
         for rec in json.loads(out):
@@ -99,7 +105,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "toda", "--dmax", "3", "--bmax", "3",
                            "--corrupt-test")
         assert code == 1
-        assert "first offending monomial" in out
+        assert "first offending monomial: (1, 0, (), (), 0, 0) = 1\n" in out
+        code, out, _ = run(capsys, "verify", "toda", "--dmax", "3", "--bmax", "3",
+                           "--corrupt-test", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["first_failure_value"] == 1
 
     def test_unknown_identity_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -138,6 +148,17 @@ class TestCompare:
         monkeypatch.setenv("HURWITZ_ORACLE_DMAX_CAP", "2")
         code, _, err = run(capsys, "compare", "--dmax", "3")
         assert code == 2 and "oracle scale limit" in err
+
+    def test_env_jobs_not_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("HURWITZ_JOBS", "x")
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(cli, "compare_all", no_sweep)
+        code, out, err = run(capsys, "compare", "--dmax", "2", "--bmax", "1")
+        assert code == 2 and out == ""
+        assert "$HURWITZ_JOBS" in err
 
     def test_parallel_jobs(self, capsys):
         code, out, _ = run(capsys, "compare", "--dmax", "2", "--bmax", "1",

@@ -75,10 +75,11 @@ class TestTau:
         got = build_tau(3, 3).coefficient(make_key(dq=2, mu=(2,), nu=(2,)))
         assert got == cov_burnside(2, [P((2,)), P((2,))]) == F(1, 2)
 
-    def test_coefficients_are_covering_counts(self):
-        tau = build_tau(4, 3)
-        for d in range(1, 5):
-            for b in range(4):
+    @pytest.mark.parametrize("d_max,b_max", [(4, 3), (7, 6)])
+    def test_coefficients_are_covering_counts(self, d_max, b_max):
+        tau = build_tau(d_max, b_max)
+        for d in range(1, d_max + 1):
+            for b in range(b_max + 1):
                 for mu in partitions_of(d):
                     for nu in partitions_of(d):
                         coeff = tau.coefficient(make_key(dq=d, b=b, mu=mu.parts, nu=nu.parts))

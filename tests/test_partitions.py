@@ -205,6 +205,7 @@ class TestF2:
     def test_row_and_profile_forms_agree(self):
         for lam in enumerate_partitions(14):
             assert f2_contents(lam) == f2_maya(lam)
+            assert type(f2_contents(lam)) is int
 
     def test_antisymmetry_under_conjugation(self):
         for lam in enumerate_partitions(14):

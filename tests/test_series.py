@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from hurwitz_toda.hurwitz import build_tau
+from hurwitz_toda.hurwitz import build_tau, schur_in_power_sums
 from hurwitz_toda.partitions import enumerate_partitions
 from hurwitz_toda.series import (
     ShiftTerm,
@@ -103,6 +104,109 @@ class TestRingOps:
         for _ in range(50):
             a, b, c = (random_series(rng) for _ in range(3))
             assert a * (b + c) == a * b + a * c
+
+
+def in_window(caps, key):
+    dq, b, mu, nu, z, s = key
+    return (dq <= caps.d_max and b <= caps.b_max
+            and sum(mu) <= caps.p_weight_max and sum(nu) <= caps.p_weight_max
+            and caps.z_min <= z <= caps.z_max and s <= caps.s_max)
+
+
+def naive_product(a, b):
+    """All-pairs Fraction product, truncated at the caps of ``a``."""
+    acc = {}
+    for (dq1, b1, mu1, nu1, z1, s1), c1 in a.terms():
+        for (dq2, b2, mu2, nu2, z2, s2), c2 in b.terms():
+            key = (dq1 + dq2, b1 + b2, tuple(sorted(mu1 + mu2, reverse=True)),
+                   tuple(sorted(nu1 + nu2, reverse=True)), z1 + z2, s1 + s2)
+            if in_window(a, key):
+                acc[key] = acc.get(key, F(0)) + c1 * c2
+    return TruncatedSeries(a.d_max, a.b_max, a.p_weight_max, z_min=a.z_min,
+                           z_max=a.z_max, s_max=a.s_max, coeffs=acc)
+
+
+def naive_power_series(x, coeffs):
+    """sum_k coeffs[k] x^k by repeated naive products."""
+    power = TruncatedSeries.one(x.d_max, x.b_max, x.p_weight_max, z_min=x.z_min,
+                                z_max=x.z_max, s_max=x.s_max)
+    total = power * coeffs[0]
+    for c in coeffs[1:]:
+        power = naive_product(power, x)
+        total = total + power * c
+    return total
+
+
+def random_aux_series(rng, d_max=3, b_max=3, pw=3, n_terms=8,
+                      z_min=0, z_max=2, s_max=1):
+    """Random series with z and s symbols, mixed denominators, both signs."""
+    pool = [p.parts for n in range(pw + 1) for p in enumerate_partitions(n)]
+    coeffs = {}
+    for _ in range(n_terms):
+        key = make_key(dq=rng.randint(0, d_max), b=rng.randint(0, b_max),
+                       mu=rng.choice(pool), nu=rng.choice(pool),
+                       z=rng.randint(z_min, z_max), s=rng.randint(0, s_max))
+        if key[:4] == ZERO_KEY[:4] and key[5] == 0:
+            continue  # no constant or bare z terms, so exp and log apply
+        coeffs[key] = F(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 5, 7, 9, 12, 25]))
+    return TruncatedSeries(d_max, b_max, pw, z_min=z_min, z_max=z_max, s_max=s_max,
+                           coeffs=coeffs)
+
+
+class TestKernelReference:
+    """The integer kernels against naive all-pairs Fraction arithmetic."""
+
+    def test_product_random(self):
+        rng = random.Random(31337)
+        for _ in range(60):
+            a = random_aux_series(rng, z_min=-2)
+            b = random_aux_series(rng, z_min=-2)
+            assert a * b == naive_product(a, b)
+
+    def test_product_weight_cap_apart_from_d_max(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            a = random_aux_series(rng, d_max=4, b_max=2, pw=2)
+            b = random_aux_series(rng, d_max=4, b_max=2, pw=2)
+            assert a * b == naive_product(a, b)
+        schur = schur_in_power_sums((2, 1)).with_caps(p_weight_max=5)
+        square = schur * schur
+        assert square == naive_product(schur, schur)
+        assert square.is_zero()
+        schur = schur.with_caps(p_weight_max=6)
+        square = schur * schur
+        assert square == naive_product(schur, schur)
+        assert not square.is_zero()
+
+    def test_product_cancellation(self):
+        x = series(2, 1, [(make_key(dq=1, mu=(1,), nu=(1,)), F(1, 3))])
+        y = series(2, 1, [(make_key(dq=1, b=1, mu=(2,), nu=(1,)), F(-2, 5))])
+        prod = (x + y) * (x - y)
+        assert prod == naive_product(x + y, x - y)
+        assert prod == x * x - y * y
+        cross = make_key(dq=2, b=1, mu=(2, 1), nu=(1, 1))
+        assert cross not in set(prod.keys())
+        # s * s vanishes at s_max = 1
+        s1 = series(1, 1, [(make_key(s=1), F(3, 4))], s_max=1)
+        assert (s1 * s1).is_zero()
+
+    def test_product_with_empty_operand(self):
+        rng = random.Random(11)
+        a = random_aux_series(rng)
+        zero = TruncatedSeries(3, 3, 3, z_max=2, s_max=1)
+        assert (a * zero).is_zero() and (zero * a).is_zero()
+        assert zero.exp() == TruncatedSeries.one(3, 3, 3, z_max=2, s_max=1)
+        assert (zero + 1).log().is_zero()
+
+    def test_exp_and_log_random(self):
+        rng = random.Random(2718)
+        exp_coeffs = [F(1, factorial(k)) for k in range(12)]
+        log_coeffs = [F(0)] + [F((-1) ** (k + 1), k) for k in range(1, 12)]
+        for _ in range(8):
+            x = random_aux_series(rng, d_max=2, b_max=2, pw=2, n_terms=5, z_max=1)
+            # every term has grade >= 1 and the grade is at most 2 + 2 + 4 + 1
+            assert x.exp() == naive_power_series(x, exp_coeffs)
+            assert (x + 1).log() == naive_power_series(x, log_coeffs)
 
 
 class TestExpLog:
