@@ -7,7 +7,8 @@ numbers and proper fractions as "num/den" strings; no floats anywhere.
 
 Environment overrides: HURWITZ_ORACLE_DMAX_CAP and HURWITZ_ORACLE_BMAX_CAP
 raise or lower the oracle enumeration caps, HURWITZ_JOBS sets the default
-worker count for the oracle comparison.
+worker count for the oracle comparison (at least 1; more than the CPU count
+runs as many workers as there are CPUs).
 """
 
 from __future__ import annotations
@@ -171,6 +172,8 @@ def cmd_verify(args) -> int:
 
 def cmd_compare(args) -> int:
     jobs = args.jobs if args.jobs is not None else _env_int("HURWITZ_JOBS", 1)
+    if jobs < 1:
+        raise ValueError(f"--jobs and $HURWITZ_JOBS must be at least 1, got {jobs}")
     d_cap = _env_int("HURWITZ_ORACLE_DMAX_CAP", DEFAULT_D_CAP)
     b_cap = _env_int("HURWITZ_ORACLE_BMAX_CAP", DEFAULT_B_CAP)
     try:

@@ -11,9 +11,11 @@ numbers.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+from operator import mul
 
 from .characters import CharacterCache, DEFAULT_CACHE, central_character
 from .partitions import (
@@ -23,7 +25,7 @@ from .partitions import (
     transposition_class,
     z_mu,
 )
-from .series import TruncatedSeries, make_key
+from .series import ZERO_KEY, TruncatedSeries, _flat, _grouped, _mul_groups, _scaled, make_key
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,115 @@ def schur_in_power_sums(lam: Partition, *,
     return TruncatedSeries.from_terms(0, 0, lam.size, terms=terms)
 
 
-_TAU_CACHE: dict[tuple[int, int], TruncatedSeries] = {}
+class _Cells:
+    """Tau and its log for one character cache, grown cell by cell.
+
+    Cell (d, b) holds the terms of q^d beta^b as d! b! times their
+    coefficients: the number of tuples of permutations of d points, of cycle
+    types mu and nu and then b transpositions, whose product is one; all of
+    them for tau, the transitive ones for its log.  Splitting off the orbit
+    of point 1, with k points and c of the transpositions,
+
+        conn(d, b) = all(d, b) - sum over k < d, c <= b of
+                     C(d-1, k-1) C(b, c) conn(k, c) * all(d-k, b-c),
+
+    where * multiplies the p and p' monomials.  So a cell needs only the
+    cells below it, and growing the box to the union of the requests so far
+    computes each cell once, whatever their order.
+    """
+
+    def __init__(self, cc: CharacterCache):
+        self.cc = cc
+        self.lock = threading.Lock()
+        self.tau_box = self.log_box = (0, 0)
+        self.tau: dict = {(0, 0): {ZERO_KEY: 1}}  # cell -> {key: count}
+        self.conn: dict = {}  # cell -> grouped transitive counts
+        self.h: dict = {}  # key -> coefficient of the log, every cell so far
+        self.series: TruncatedSeries | None = None  # tau at tau_box, when asked
+        self._tables: dict = {}
+        self._tau_groups: dict = {}
+        self._merged: dict = {}
+
+    def grow_tau(self, d_max: int, b_max: int) -> None:
+        if d_max < 0 or b_max < 0:
+            raise ValueError("truncation orders must be nonnegative")
+        d0, b0 = self.tau_box
+        if d_max <= d0 and b_max <= b0:
+            return
+        self.tau_box = max(d_max, d0), max(b_max, b0)
+        for d in range(1, self.tau_box[0] + 1):
+            classes, chi, f2, zs = self._table(d)
+            dfact = factorial(d)
+            for b in range(b0 + 1 if d <= d0 else 0, self.tau_box[1] + 1):
+                # integer sums of chi(mu) chi(nu) f2^b over shapes, for mu <= nu
+                cell = self.tau[(d, b)] = {}
+                powers = [f ** b for f in f2]
+                for j, cj in enumerate(chi):
+                    wj = list(map(mul, cj, powers))
+                    for i in range(j + 1):
+                        x = sum(map(mul, chi[i], wj))
+                        if x:
+                            mu, nu = classes[i], classes[j]
+                            cell[(d, b, mu, nu, 0, 0)] = cell[(d, b, nu, mu, 0, 0)] = (
+                                x * dfact // (zs[i] * zs[j]))
+
+    def grow_log(self, d_max: int, b_max: int) -> None:
+        d0, b0 = self.log_box
+        self.grow_tau(d_max, b_max)
+        if d_max <= d0 and b_max <= b0:
+            return
+        self.log_box = max(d_max, d0), max(b_max, b0)
+        for d in range(1, self.log_box[0] + 1):
+            for b in range(b0 + 1 if d <= d0 else 0, self.log_box[1] + 1):
+                self._conn_cell(d, b)
+
+    def tau_series(self, d_max: int, b_max: int) -> TruncatedSeries:
+        self.grow_tau(d_max, b_max)
+        big = self.series
+        if big is None or (big.d_max, big.b_max) != self.tau_box:
+            big = self.series = TruncatedSeries(*self.tau_box, coeffs={
+                key: Fraction(x, factorial(d) * factorial(b))
+                for (d, b), cell in self.tau.items() for key, x in cell.items()})
+        same = (big.d_max, big.b_max) == (d_max, b_max)
+        return big if same else big.with_caps(d_max=d_max, b_max=b_max, p_weight_max=d_max)
+
+    def _table(self, d: int) -> tuple:
+        """Classes of degree d, chi(shape, class) by class, f2 by shape, z by class."""
+        if d not in self._tables:
+            shapes = list(partitions_of(d))
+            self._tables[d] = ([mu.parts for mu in shapes],
+                               [[self.cc.character(lam, mu) for lam in shapes] for mu in shapes],
+                               [f2_contents(lam) for lam in shapes], [z_mu(mu) for mu in shapes])
+        return self._tables[d]
+
+    def _conn_cell(self, d: int, b: int) -> None:
+        acc: dict = {}
+        caps = TruncatedSeries(d, b)
+        for k in range(1, d):
+            for c in range(b + 1):
+                rest = self._tau_groups.get((d - k, b - c))
+                if rest is None:
+                    rest = self._tau_groups[(d - k, b - c)] = _grouped(self.tau[(d - k, b - c)])
+                if self.conn[(k, c)] and rest:
+                    scale = comb(d - 1, k - 1) * comb(b, c)
+                    _mul_groups(acc, _scaled(self.conn[(k, c)], scale), rest, caps, self._merged)
+        counts = dict(self.tau[(d, b)])
+        for key, x in _flat(acc):
+            counts[key] = counts.get(key, 0) - x
+        counts = {key: x for key, x in counts.items() if x}
+        self.conn[(d, b)] = _grouped(counts)
+        den = factorial(d) * factorial(b)
+        self.h.update((key, Fraction(x, den)) for key, x in counts.items())
+
+
+# The cells of the default character cache, shared by every call; memory is
+# set by the largest box requested so far.
+_STORE = _Cells(DEFAULT_CACHE)
+
+
+def _store(cache: CharacterCache | None) -> _Cells:
+    """The shared cells, or fresh ones that nothing keeps for a custom cache."""
+    return _STORE if cache is None or cache is DEFAULT_CACHE else _Cells(cache)
 
 
 def build_tau(d_max: int, b_max: int, *,
@@ -131,52 +241,13 @@ def build_tau(d_max: int, b_max: int, *,
     """Generating series of disconnected counts, truncated at (d_max, b_max).
 
     The coefficient of q^d beta^b p_mu p'_nu is the disconnected count with
-    profiles (mu, nu) and b transposition points, divided by b!: the integer
-    sum over shapes of chi(mu) chi(nu) f2^b, over z_mu z_nu b!.  The sum is
-    symmetric in mu and nu, so it is accumulated for one ordering only.
+    profiles (mu, nu) and b transposition points, divided by b!.  With the
+    default character cache it is restricted from the largest tau built so
+    far, and equals a fresh build, caps included.
     """
-    use_default = cache is None or cache is DEFAULT_CACHE
-    if use_default and (d_max, b_max) in _TAU_CACHE:
-        return _TAU_CACHE[(d_max, b_max)]
-    cc = cache or DEFAULT_CACHE
-    bfact = [factorial(b) for b in range(b_max + 1)]
-    coeffs: dict = {}
-    for d in range(d_max + 1):
-        classes = list(partitions_of(d))
-        # (i, j) with i <= j -> integer sums over shapes of
-        # chi(mu_i) chi(mu_j) f2^b, for b = 0..b_max
-        sums: dict[tuple[int, int], list[int]] = {}
-        for lam in classes:
-            chi = [cc.character(lam, mu) for mu in classes]
-            f2 = f2_contents(lam)
-            powers = [f2 ** b for b in range(b_max + 1)]
-            for i, ci in enumerate(chi):
-                if not ci:
-                    continue
-                for j in range(i, len(classes)):
-                    w = ci * chi[j]
-                    if not w:
-                        continue
-                    vec = sums.get((i, j))
-                    if vec is None:
-                        vec = sums[(i, j)] = [0] * (b_max + 1)
-                    for b, p in enumerate(powers):
-                        vec[b] += w * p
-        zs = [z_mu(mu) for mu in classes]
-        for (i, j), vec in sums.items():
-            mu, nu = classes[i].parts, classes[j].parts
-            for b, x in enumerate(vec):
-                if x:
-                    val = Fraction(x, zs[i] * zs[j] * bfact[b])
-                    coeffs[(d, b, mu, nu, 0, 0)] = val
-                    coeffs[(d, b, nu, mu, 0, 0)] = val
-    tau = TruncatedSeries(d_max, b_max, coeffs=coeffs)
-    if use_default:
-        _TAU_CACHE[(d_max, b_max)] = tau
-    return tau
-
-
-_H_CACHE: dict[tuple[int, int], TruncatedSeries] = {}
+    store = _store(cache)
+    with store.lock:
+        return store.tau_series(d_max, b_max)
 
 
 def connected_series(tau: TruncatedSeries) -> TruncatedSeries:
@@ -188,17 +259,6 @@ def connected_series(tau: TruncatedSeries) -> TruncatedSeries:
     return tau.log()
 
 
-def _connected_cached(d_max: int, b_max: int, *,
-                      cache: CharacterCache | None = None) -> TruncatedSeries:
-    use_default = cache is None or cache is DEFAULT_CACHE
-    if use_default and (d_max, b_max) in _H_CACHE:
-        return _H_CACHE[(d_max, b_max)]
-    h = connected_series(build_tau(d_max, b_max, cache=cache))
-    if use_default:
-        _H_CACHE[(d_max, b_max)] = h
-    return h
-
-
 def genus_of(b: int, mu: Partition, nu: Partition) -> int | None:
     """Genus from the ramification data, or None when no covering can exist."""
     twice = b + 2 - Partition(mu).length - Partition(nu).length
@@ -207,25 +267,29 @@ def genus_of(b: int, mu: Partition, nu: Partition) -> int | None:
     return twice // 2
 
 
+def _record(h: dict, d: int, b: int, mu: Partition, nu: Partition) -> HurwitzRecord:
+    """b! times the coefficient of q^d beta^b p_mu p'_nu in the log coefficients h."""
+    coeff = h.get(make_key(dq=d, b=b, mu=mu.parts, nu=nu.parts), Fraction(0))
+    return HurwitzRecord(d=d, b=b, mu=mu, nu=nu, value=coeff * factorial(b),
+                         genus=genus_of(b, mu, nu), connected=True)
+
+
 def double_hurwitz(d: int, b: int, mu: Partition, nu: Partition, *,
-                   series: TruncatedSeries | None = None,
                    cache: CharacterCache | None = None) -> HurwitzRecord:
     """Connected count for profiles (mu, nu) with b transposition points.
 
-    Extracts b! times the matching coefficient of the connected series.  A
-    prebuilt connected series covering (d, b) may be passed to avoid
-    rebuilding; otherwise one is built and cached per truncation order.
+    Reads b! times the matching coefficient of the connected series; with
+    the default character cache its cells are kept and grown like tau's.
     """
     mu, nu = Partition(mu), Partition(nu)
     if mu.size != d or nu.size != d:
         raise ValueError(f"profiles must have size {d}: got |mu|={mu.size}, |nu|={nu.size}")
     if b < 0:
         raise ValueError("b must be nonnegative")
-    h = series if series is not None else _connected_cached(d, b, cache=cache)
-    coeff = h.coefficient(make_key(dq=d, b=b, mu=mu.parts, nu=nu.parts))
-    value = coeff * factorial(b)
-    return HurwitzRecord(d=d, b=b, mu=mu, nu=nu, value=value,
-                         genus=genus_of(b, mu, nu), connected=True)
+    store = _store(cache)
+    with store.lock:
+        store.grow_log(d, b)
+        return _record(store.h, d, b, mu, nu)
 
 
 def cov_record(d: int, b: int, mu: Partition, nu: Partition, *,
@@ -240,30 +304,25 @@ def cov_record(d: int, b: int, mu: Partition, nu: Partition, *,
 
 
 def simple_hurwitz(g: int, d: int, *,
-                   series: TruncatedSeries | None = None,
                    cache: CharacterCache | None = None) -> Fraction:
     """Count of connected genus-g degree-d coverings with only simple points.
 
     These have trivial profiles over the two marked fibers and 2g + 2d - 2
-    transposition points elsewhere.
+    transposition points elsewhere; read as :func:`double_hurwitz` reads.
     """
     if g < 0 or d < 1:
         raise ValueError("need g >= 0 and d >= 1")
     b = 2 * g + 2 * d - 2
     one_profile = Partition((1,) * d)
-    return double_hurwitz(d, b, one_profile, one_profile,
-                          series=series, cache=cache).value
+    return double_hurwitz(d, b, one_profile, one_profile, cache=cache).value
 
 
 def hurwitz_table(d_max: int, b_max: int, *,
                   cache: CharacterCache | None = None) -> list[HurwitzRecord]:
     """All connected records for d <= d_max, b <= b_max, deterministic order."""
-    h = _connected_cached(d_max, b_max, cache=cache)
-    out = []
-    for d in range(1, d_max + 1):
-        profiles = list(partitions_of(d))
-        for b in range(b_max + 1):
-            for mu in profiles:
-                for nu in profiles:
-                    out.append(double_hurwitz(d, b, mu, nu, series=h, cache=cache))
-    return out
+    store = _store(cache)
+    profiles = [list(partitions_of(d)) for d in range(d_max + 1)]
+    with store.lock:
+        store.grow_log(d_max, b_max)
+        return [_record(store.h, d, b, mu, nu) for d in range(1, d_max + 1)
+                for b in range(b_max + 1) for mu in profiles[d] for nu in profiles[d]]

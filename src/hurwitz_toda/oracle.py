@@ -11,6 +11,7 @@ the independent check for the character-sum route.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -70,14 +71,6 @@ def class_representative(mu: Partition) -> Perm:
         out.extend(list(range(start + 1, start + part)) + [start])
         start += part
     return tuple(out)
-
-
-def class_elements(d: int, mu: Partition):
-    """All elements of cycle type ``mu`` in degree d (full enumeration)."""
-    mu = Partition(mu)
-    for p in itertools.permutations(range(d)):
-        if cycle_type(p) == mu:
-            yield p
 
 
 def all_transpositions(d: int) -> list[Perm]:
@@ -160,26 +153,9 @@ def _z(mu: Partition) -> int:
     return z
 
 
-def _sweep_naive(d: int, mu: Partition, b: int) -> dict:
-    """Same counts without the fixed-representative optimization."""
-    counts: dict[tuple, list[int]] = {}
-    for sigma0 in class_elements(d, mu):
-        for taus in itertools.product(all_transpositions(d), repeat=b):
-            p = sigma0
-            for t in taus:
-                p = compose(p, t)
-            nu = cycle_type(inverse(p)).parts
-            entry = counts.setdefault(nu, [0, 0])
-            entry[0] += 1
-            if _is_transitive(d, (sigma0,) + taus):
-                entry[1] += 1
-    return counts
-
-
 def count_tuples(d: int, mu: Partition, nu: Partition, b: int,
                  connected_only: bool, *,
-                 d_cap: int = DEFAULT_D_CAP, b_cap: int = DEFAULT_B_CAP,
-                 naive: bool = False) -> Fraction:
+                 d_cap: int = DEFAULT_D_CAP, b_cap: int = DEFAULT_B_CAP) -> Fraction:
     """Tuple count over d! for profiles (mu, nu) and b transpositions.
 
     Tuples are (sigma0 in C_mu, tau_1, ..., tau_b transpositions, sigma_inf
@@ -195,8 +171,7 @@ def count_tuples(d: int, mu: Partition, nu: Partition, b: int,
         raise OracleLimitError("oracle scale limit")
     if d == 0:
         return Fraction(1) if b == 0 else Fraction(0)
-    counts = _sweep_naive(d, mu, b) if naive else _sweep(d, mu.parts, b)
-    entry = counts.get(nu.parts)
+    entry = _sweep(d, mu.parts, b).get(nu.parts)
     if entry is None:
         return Fraction(0)
     return Fraction(entry[1] if connected_only else entry[0], factorial(d))
@@ -219,7 +194,8 @@ def compare_all(d_max_oracle: int, b_max_oracle: int, *,
     transitive count over d! must equal b! times the log tau coefficient.
     Returns one record per disagreement; empty list means full agreement.
     ``corruption`` bumps one tau coefficient by +1 before comparing (negative
-    control).
+    control).  The sweeps run on at most ``jobs`` worker processes, and never
+    on more than ``os.cpu_count()``.
     """
     if d_max_oracle > d_cap or b_max_oracle > b_cap:
         raise OracleLimitError("oracle scale limit")
@@ -233,6 +209,7 @@ def compare_all(d_max_oracle: int, b_max_oracle: int, *,
         for mu in partitions_of(d):
             for b in range(b_max_oracle + 1):
                 tasks.append((d, mu.parts, b))
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with Pool(jobs) as pool:
             sweeps = dict(pool.map(_sweep_task, tasks))

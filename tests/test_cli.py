@@ -160,6 +160,20 @@ class TestCompare:
         assert code == 2 and out == ""
         assert "$HURWITZ_JOBS" in err
 
+    @pytest.mark.parametrize("flag,env", [("0", None), ("-3", None), (None, "0")])
+    def test_jobs_below_one(self, capsys, monkeypatch, flag, env):
+        if env is not None:
+            monkeypatch.setenv("HURWITZ_JOBS", env)
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(cli, "compare_all", no_sweep)
+        argv = ["compare", "--dmax", "2", "--bmax", "1", "--format", "csv"]
+        code, out, err = run(capsys, *argv, *(["--jobs", flag] if flag else []))
+        assert code == 2 and out == ""
+        assert "must be at least 1" in err
+
     def test_parallel_jobs(self, capsys):
         code, out, _ = run(capsys, "compare", "--dmax", "2", "--bmax", "1",
                            "--jobs", "2")

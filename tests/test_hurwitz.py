@@ -1,8 +1,13 @@
+import random
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from hurwitz_toda import hurwitz
+from hurwitz_toda.characters import DEFAULT_CACHE, CharacterCache
 from hurwitz_toda.hurwitz import (
     build_tau,
     connected_series,
@@ -92,8 +97,113 @@ class TestTau:
             dq, _, mu, nu = key[0], key[1], key[2], key[3]
             assert sum(mu) == dq and sum(nu) == dq
 
-    def test_cached_instance_reused(self):
-        assert build_tau(3, 2) is build_tau(3, 2)
+
+class TestSeriesCache:
+    """One tau and one connected series, grown cell by cell to the union box."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(hurwitz, "_STORE", hurwitz._Cells(DEFAULT_CACHE))
+
+    def test_restriction_equals_fresh_build(self):
+        build_tau(6, 5)
+        for d in range(7):
+            for b in range(6):
+                misses = DEFAULT_CACHE.misses
+                tau = build_tau(d, b)
+                assert DEFAULT_CACHE.misses == misses
+                fresh = build_tau(d, b, cache=CharacterCache())
+                assert tau == fresh
+                assert (tau.d_max, tau.b_max, tau.p_weight_max) == (d, b, d)
+        assert build_tau(6, 5) is hurwitz._STORE.series
+
+    def test_rebuild_at_union_of_boxes(self):
+        build_tau(3, 5)
+        build_tau(5, 3)
+        tau = hurwitz._STORE.series
+        assert (tau.d_max, tau.b_max) == (5, 5)
+        assert build_tau(5, 5) is tau
+
+    def test_connected_reads_equal_fresh_build(self):
+        hurwitz_table(5, 5)
+        assert hurwitz_table(3, 4) == hurwitz_table(3, 4, cache=CharacterCache())
+        assert hurwitz._STORE.log_box == (5, 5)
+
+    def test_cells_equal_log_of_tau(self):
+        # the cell recursion against the graded log of a fresh tau
+        hurwitz_table(4, 7)
+        hurwitz_table(7, 3)
+        want = connected_series(build_tau(7, 7, cache=CharacterCache()))
+        assert hurwitz._STORE.h == dict(want.terms())
+
+    def test_each_cell_computed_once_in_any_order(self, monkeypatch):
+        computed = []
+        conn_cell = hurwitz._Cells._conn_cell
+        monkeypatch.setattr(hurwitz._Cells, "_conn_cell",
+                            lambda self, d, b: computed.append((d, b)) or conn_cell(self, d, b))
+        boxes = [(d, b) for d in range(1, 7) for b in range(7)]
+        random.Random(5).shuffle(boxes)
+        for d, b in boxes:
+            double_hurwitz(d, b, P((1,) * d), P((1,) * d))
+        assert sorted(computed) == [(d, b) for d in range(1, 7) for b in range(7)]
+        tau_cells = hurwitz._STORE.tau
+        assert sorted(tau_cells) == [(d, b) for d in range(7) for b in range(7) if d or not b]
+
+    def test_memory_is_the_union_box(self):
+        calls = [lambda: build_tau(2, 7), lambda: double_hurwitz(3, 4, P((2, 1)), P((3,))),
+                 lambda: simple_hurwitz(1, 3), lambda: hurwitz_table(4, 2),
+                 lambda: build_tau(7, 1), lambda: double_hurwitz(1, 0, P((1,)), P((1,)))]
+        for call in calls:
+            call()
+        store = hurwitz._STORE
+        assert store.tau_box == (7, 7) and store.log_box == (4, 6)
+        assert set(store.tau) == {(d, b) for d in range(8) for b in range(8) if d or not b}
+        assert set(store.conn) == {(d, b) for d in range(1, 5) for b in range(7)}
+        assert all(k[0] <= 4 and k[1] <= 6 for k in store.h)
+        assert (store.series.d_max, store.series.b_max) == (7, 7)
+
+    def test_concurrent_requests(self):
+        boxes = [(d, b) for d in range(1, 6) for b in range(6)]
+        fresh = {box: build_tau(*box, cache=CharacterCache()) for box in boxes}
+        ones = {d: P((1,) * d) for d in range(1, 6)}
+        wrong = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            for _ in range(30):
+                d, b = box = rng.choice(boxes)
+                if build_tau(d, b) != fresh[box]:
+                    wrong.append(("tau", box))
+                want = connected_series(fresh[box]).coefficient(
+                    make_key(dq=d, b=b, mu=ones[d].parts, nu=ones[d].parts)) * factorial(b)
+                if double_hurwitz(d, b, ones[d], ones[d]).value != want:
+                    wrong.append(("log", box))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert all(d <= 5 and b <= 5 for d, b in hurwitz._STORE.tau)
+
+    def test_custom_cache_bypasses(self):
+        build_tau(3, 3, cache=CharacterCache())
+        double_hurwitz(3, 4, P((1, 1, 1)), P((1, 1, 1)), cache=CharacterCache())
+        store = hurwitz._STORE
+        assert store.tau_box == store.log_box == (0, 0) and store.h == {}
+
+    def test_negative_orders_rejected(self):
+        with pytest.raises(ValueError):
+            build_tau(-1, 2)
+        with pytest.raises(ValueError):
+            hurwitz_table(2, -1)
 
 
 class TestConnected:

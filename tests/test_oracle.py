@@ -1,13 +1,15 @@
+import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from hurwitz_toda import oracle
 from hurwitz_toda.characters import CharacterCache
 from hurwitz_toda.oracle import (
     MonodromyTuple,
     OracleLimitError,
     all_transpositions,
-    class_elements,
     class_representative,
     compare_all,
     compose,
@@ -22,6 +24,29 @@ from hurwitz_toda.series import make_key
 
 P = Partition
 F = Fraction
+
+
+def class_elements(d, mu):
+    """All elements of cycle type ``mu`` in degree d (full enumeration)."""
+    mu = Partition(mu)
+    for p in itertools.permutations(range(d)):
+        if cycle_type(p) == mu:
+            yield p
+
+
+def naive_count(d, mu, nu, b, connected_only):
+    """count_tuples without the fixed-representative optimization: every
+    sigma0 of type mu, every b-tuple of transpositions."""
+    total = 0
+    for sigma0 in class_elements(d, mu):
+        for taus in itertools.product(all_transpositions(d), repeat=b):
+            p = sigma0
+            for t in taus:
+                p = compose(p, t)
+            mt = MonodromyTuple(d, sigma0, taus, inverse(p))
+            if cycle_type(mt.sigma_inf) == nu and (not connected_only or mt.is_transitive()):
+                total += 1
+    return F(total, factorial(d))
 
 
 class TestPermutations:
@@ -114,7 +139,7 @@ class TestNaiveAgreement:
                     for b in range(3):
                         for conn in (False, True):
                             fast = count_tuples(d, mu, nu, b, conn)
-                            slow = count_tuples(d, mu, nu, b, conn, naive=True)
+                            slow = naive_count(d, mu, nu, b, conn)
                             assert fast == slow, (d, mu, nu, b, conn)
 
 
@@ -127,6 +152,30 @@ class TestCompareAll:
 
     def test_parallel_matches_serial(self):
         assert compare_all(3, 2, jobs=2) == []
+
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(oracle, "Pool", FakePool)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+        assert compare_all(3, 2, jobs=10_000) == []
+        assert sizes == [3]
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
+        assert compare_all(3, 2, jobs=10_000) == []
+        assert sizes == [3]  # unknown CPU count: serial, no pool
 
     def test_caps(self):
         with pytest.raises(OracleLimitError, match="oracle scale limit"):
