@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Per-stage timings of the Toda check, as recorded in the BENCH_*.json files.
+"""Per-stage timings of the Toda check and the oracle comparison, as recorded
+in the BENCH_*.json files.
 
     python3 scripts/bench_stages.py [--src DIR] [--orders 8,8 10,10 12,12]
+                                    [--oracle 6,4 6,5]
 
 Imports ``hurwitz_toda`` from DIR (default: ``src/`` of this checkout), so
 the same script times any other checkout.  For each order (d_max, b_max) it
@@ -15,7 +17,17 @@ times, with ``time.perf_counter`` in this one process:
     d1_d1p        (dtau/dp1)(dtau/dp'1)            /  in its order
 
 with the term count of each result, and checks that the residual vanishes.
-Prints one JSON object.
+For each oracle order it times the two stages of ``compare`` that do not
+build series:
+
+    sweep          oracle._sweep for every (d, mu, b) task, cold, with the
+                   number of transposition tuples counted and the sum of the
+                   transitive counts (equal on every checkout)
+    class_algebra  cov_with_transpositions for every (d, b, mu, nu), with the
+                   character cache warmed by one untimed pass
+
+An empty ``--orders`` or ``--oracle`` skips that part.  Prints one JSON
+object.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ import json
 import os
 import sys
 import time
+from math import comb
 
 
 def stages(ht, d_max: int, b_max: int) -> dict:
@@ -52,11 +65,33 @@ def stages(ht, d_max: int, b_max: int) -> dict:
     return out
 
 
+def oracle_stages(ht, d_max: int, b_max: int) -> dict:
+    tasks = [(d, mu, b) for d in range(1, d_max + 1)
+             for mu in ht.partitions_of(d) for b in range(b_max + 1)]
+    sweep = ht.oracle._sweep
+    sweep.cache_clear()
+    t0 = time.perf_counter()
+    sweeps = [sweep(d, mu.parts, b) for d, mu, b in tasks]
+    out = {"sweep": {"s": round(time.perf_counter() - t0, 4), "tasks": len(tasks),
+                     "tuples": sum(comb(d, 2) ** b for d, _, b in tasks),
+                     "transitive": sum(c[1] for s in sweeps for c in s.values())}}
+    calls = [(d, mu, nu, b) for d, mu, b in tasks for nu in ht.partitions_of(d)]
+    cache = ht.CharacterCache()
+    for call in calls:
+        ht.cov_with_transpositions(*call, cache=cache)
+    t0 = time.perf_counter()
+    for call in calls:
+        ht.cov_with_transpositions(*call, cache=cache)
+    out["class_algebra"] = {"s": round(time.perf_counter() - t0, 4), "calls": len(calls)}
+    return out
+
+
 def main(argv=None) -> int:
     here = os.path.dirname(os.path.abspath(__file__))
     parser = argparse.ArgumentParser(description="Per-stage timings of the Toda check.")
     parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"))
-    parser.add_argument("--orders", nargs="+", default=["8,8", "10,10", "12,12"])
+    parser.add_argument("--orders", nargs="*", default=["8,8", "10,10", "12,12"])
+    parser.add_argument("--oracle", nargs="*", default=["6,4", "6,5"])
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     import hurwitz_toda as ht
@@ -66,6 +101,10 @@ def main(argv=None) -> int:
         d_max, b_max = (int(x) for x in order.split(","))
         report[order] = stages(ht, d_max, b_max)
         print(f"{order}: {report[order]}", file=sys.stderr)
+    for order in args.oracle:
+        d_max, b_max = (int(x) for x in order.split(","))
+        report.setdefault("oracle", {})[order] = oracle_stages(ht, d_max, b_max)
+        print(f"oracle {order}: {report['oracle'][order]}", file=sys.stderr)
     print(json.dumps(report, indent=1))
     return 0
 

@@ -1,8 +1,8 @@
 """Exact double Hurwitz numbers with Toda-lattice identity verification.
 
 Everything is exact rational arithmetic on sparse truncated series; the
-brute-force permutation oracle cross-checks every number the character sums
-produce.
+character-free permutation oracle cross-checks every number the character
+sums produce.
 """
 
 from .characters import CharacterCache, central_character, character, dimension

@@ -12,14 +12,16 @@ numbers.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from operator import mul
 
-from .characters import CharacterCache, DEFAULT_CACHE, central_character
+from .characters import CharacterCache, DEFAULT_CACHE
 from .partitions import (
     Partition,
+    class_size,
     f2_contents,
     partitions_of,
     transposition_class,
@@ -72,24 +74,28 @@ def cov_burnside(d: int, classes: list[Partition], *,
     """Weighted count of degree-d coverings with the given branch classes.
 
     Sum over shapes of size d of (dim/d!)^2 times the product of the class
-    eigenvalues; counts disconnected coverings too, each weighted by the
-    reciprocal of its automorphism group order.
+    eigenvalues |C| chi(C) / dim; counts disconnected coverings too, each
+    weighted by the reciprocal of its automorphism group order.  Summed as
+    integers over each shape's dim^k, for k classes, then divided by d!^2.
     """
     cache = cache or DEFAULT_CACHE
     classes = [Partition(c) for c in classes]
     for c in classes:
         if c.size != d:
             raise ValueError(f"class {c} does not have size {d}")
-    dfact = factorial(d)
+    repeats = Counter(classes)
+    sizes = {c: class_size(c) for c in repeats}
     total = Fraction(0)
     for lam in partitions_of(d):
-        term = Fraction(cache.dimension(lam), dfact) ** 2
-        for c in classes:
-            term *= central_character(c, lam, cache=cache)
-            if term == 0:
+        dim = cache.dimension(lam)
+        num = dim * dim
+        for c, m in repeats.items():
+            num *= (sizes[c] * cache.character(lam, c)) ** m
+            if not num:
                 break
-        total += term
-    return total
+        if num:
+            total += Fraction(num, dim ** len(classes))
+    return total / factorial(d) ** 2
 
 
 def cov_with_transpositions(d: int, mu: Partition, nu: Partition, b: int, *,

@@ -1,16 +1,23 @@
-"""Brute-force ground truth by enumerating permutation tuples.
+"""Ground truth by counting permutation tuples, with no characters.
 
 A degree-d covering of the sphere with marked monodromies corresponds to a
 tuple of permutations with identity product, counted up to simultaneous
 conjugation; weighting by the automorphism group is the same as counting raw
 tuples and dividing by d!.  Connectivity of the covering is transitivity of
-the group the tuple generates.  Everything here is deliberately naive; it is
-the independent check for the character-sum route.
+the group the tuple generates.
+
+The count fixes sigma0 and applies the transpositions one at a time.  A
+tuple's prefix is summarized by its product so far and by the orbits of the
+group its permutations generate; both are all that later steps and the
+final counts depend on, so prefixes with equal summaries are counted
+together instead of one by one.  Every step is a permutation composition
+or an orbit merge, and the count reads no character, class-algebra value
+or series, so it stays an independent check of those routes, which only
+``compare_all`` calls.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +27,7 @@ from multiprocessing import Pool
 
 from .characters import CharacterCache
 from .hurwitz import build_tau, connected_series, cov_with_transpositions
-from .partitions import Partition, partitions_of
+from .partitions import Partition, class_size, partitions_of
 
 DEFAULT_D_CAP = 6
 DEFAULT_B_CAP = 5
@@ -38,7 +45,7 @@ def identity_perm(d: int) -> Perm:
 
 def compose(a: Perm, b: Perm) -> Perm:
     """Apply ``a`` first, then ``b`` (left-to-right composition)."""
-    return tuple(b[a[i]] for i in range(len(a)))
+    return tuple(map(b.__getitem__, a))
 
 
 def inverse(p: Perm) -> Perm:
@@ -122,35 +129,56 @@ def _is_transitive(d: int, perms: tuple[Perm, ...]) -> bool:
     return components == 1
 
 
+def _orbit_labels(p: Perm) -> Perm:
+    """Each point labelled by the smallest point of its orbit under ``p``."""
+    labels = list(range(len(p)))
+    for i in range(len(p)):
+        if labels[i] == i:  # no smaller point has reached i: it starts an orbit
+            j = p[i]
+            while j != i:
+                labels[j] = i
+                j = p[j]
+    return tuple(labels)
+
+
 @lru_cache(maxsize=None)
 def _sweep(d: int, mu_parts: tuple, b: int) -> dict:
     """Counts of tuples with sigma0 of type mu, keyed by sigma_inf type.
 
     Fixes one representative sigma0 and multiplies by the class size at the
     end (conjugation preserves both the identity-product constraint and
-    transitivity).  Returns {nu_parts: [all_count, transitive_count]}.
+    transitivity).  Walks states (product so far, orbits of sigma0 and the
+    transpositions so far), each with the number of transposition prefixes
+    that reach it; orbits are labelled by their smallest point, so equal
+    states merge.  Returns {nu_parts: [all_count, transitive_count]}.
     """
     mu = Partition(mu_parts)
     sigma0 = class_representative(mu)
-    mult = factorial(d) // _z(mu)
+    states = {(sigma0, _orbit_labels(sigma0)): 1}
+    swaps = [(t, [k for k in range(d) if t[k] != k]) for t in all_transpositions(d)]
+    for _ in range(b):
+        reached: dict = {}
+        for (p, labels), n in states.items():
+            for t, (i, j) in swaps:
+                a, c = labels[i], labels[j]
+                merged = labels
+                if a != c:  # two orbits join, under the smaller label
+                    lo, hi = (a, c) if a < c else (c, a)
+                    merged = tuple(lo if x == hi else x for x in labels)
+                key = (compose(p, t), merged)
+                reached[key] = reached.get(key, 0) + n
+        states = reached
+    mult = class_size(mu)
+    types: dict = {}
     counts: dict[tuple, list[int]] = {}
-    for taus in itertools.product(all_transpositions(d), repeat=b):
-        p = sigma0
-        for t in taus:
-            p = compose(p, t)
-        nu = cycle_type(inverse(p)).parts
-        entry = counts.setdefault(nu, [0, 0])
-        entry[0] += mult
-        if _is_transitive(d, (sigma0,) + taus):
-            entry[1] += mult
+    for (p, labels), n in states.items():
+        if p not in types:
+            types[p] = cycle_type(inverse(p)).parts
+        entry = counts.setdefault(types[p], [0, 0])
+        entry[0] += n * mult
+        if len(set(labels)) == 1:
+            entry[1] += n * mult
     return counts
-
-
-def _z(mu: Partition) -> int:
-    z = 1
-    for k, m in mu.multiplicities.items():
-        z *= k**m * factorial(m)
-    return z
 
 
 def count_tuples(d: int, mu: Partition, nu: Partition, b: int,

@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from hurwitz_toda import hurwitz
-from hurwitz_toda.characters import DEFAULT_CACHE, CharacterCache
+from hurwitz_toda.characters import DEFAULT_CACHE, CharacterCache, central_character
 from hurwitz_toda.hurwitz import (
     build_tau,
     connected_series,
@@ -29,6 +29,19 @@ P = Partition
 F = Fraction
 
 
+def burnside_reference(d, classes, cache=None):
+    """cov_burnside one Fraction at a time: (dim/d!)^2 times one central
+    character per list entry, for every shape."""
+    cache = cache or DEFAULT_CACHE
+    total = F(0)
+    for lam in partitions_of(d):
+        term = F(cache.dimension(lam), factorial(d)) ** 2
+        for c in classes:
+            term *= central_character(c, lam, cache=cache)
+        total += term
+    return total
+
+
 class TestCovBurnside:
     def test_no_branching(self):
         # only the trivial covering, weighted by 1/|S(3)|
@@ -46,6 +59,26 @@ class TestCovBurnside:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             cov_burnside(3, [P((2,))])
+        with pytest.raises(ValueError):
+            cov_burnside(3, [P((2, 1)), P((2, 1)), P((3, 1))])
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_matches_reference(self, d):
+        rng = random.Random(d)
+        shapes = list(partitions_of(d))
+        poisoned = CharacterCache()
+        poisoned.seed(P((d,)), P((d,)), 5)  # really 1: both routes must read it
+        assert cov_burnside(d, [P((d,))], cache=poisoned) != cov_burnside(d, [P((d,))])
+        lists = [[]]
+        for k in range(1, 8):
+            lists.append([rng.choice(shapes) for _ in range(k)])  # mixed, with repeats
+            lists.append([rng.choice(shapes)] * k)  # one class repeated
+        lists.append(shapes * 2)
+        for classes in lists:
+            classes = rng.sample(classes, len(classes))
+            for cache in (None, CharacterCache(), poisoned):
+                assert cov_burnside(d, classes, cache=cache) == \
+                    burnside_reference(d, classes, cache), (classes, cache)
 
     def test_transposition_wrapper_below_degree_two(self):
         assert cov_with_transpositions(1, P((1,)), P((1,)), 3) == 0

@@ -19,7 +19,7 @@ from hurwitz_toda.oracle import (
     inverse,
     count_table,
 )
-from hurwitz_toda.partitions import Partition, partitions_of
+from hurwitz_toda.partitions import Partition, class_size, partitions_of
 from hurwitz_toda.series import make_key
 
 P = Partition
@@ -47,6 +47,24 @@ def naive_count(d, mu, nu, b, connected_only):
             if cycle_type(mt.sigma_inf) == nu and (not connected_only or mt.is_transitive()):
                 total += 1
     return F(total, factorial(d))
+
+
+def per_tuple_sweep(d, mu_parts, b):
+    """oracle._sweep one tuple at a time: every b-tuple of transpositions
+    after the fixed sigma0, its product and a fresh transitivity test each."""
+    sigma0 = class_representative(P(mu_parts))
+    mult = class_size(P(mu_parts))
+    counts = {}
+    for taus in itertools.product(all_transpositions(d), repeat=b):
+        p = sigma0
+        for t in taus:
+            p = compose(p, t)
+        mt = MonodromyTuple(d, sigma0, taus, inverse(p))
+        entry = counts.setdefault(cycle_type(mt.sigma_inf).parts, [0, 0])
+        entry[0] += mult
+        if mt.is_transitive():
+            entry[1] += mult
+    return counts
 
 
 class TestPermutations:
@@ -143,12 +161,36 @@ class TestNaiveAgreement:
                             assert fast == slow, (d, mu, nu, b, conn)
 
 
+class TestStateWalk:
+    """The state walk of oracle._sweep against the per-tuple sweep."""
+
+    @pytest.mark.parametrize("d,b_max", [(1, 4), (2, 4), (3, 4), (4, 4), (5, 4), (6, 2)])
+    def test_same_counts_as_per_tuple(self, d, b_max):
+        for mu in partitions_of(d):
+            for b in range(b_max + 1):
+                want = per_tuple_sweep(d, mu.parts, b)
+                assert oracle._sweep(d, mu.parts, b) == want, (d, mu, b)
+                assert sum(n for n, _ in want.values()) == class_size(mu) * (d * (d - 1) // 2) ** b
+
+    def test_orbit_labels_are_smallest_points(self):
+        assert oracle._orbit_labels((1, 2, 0, 4, 3, 5)) == (0, 0, 0, 3, 3, 5)
+        assert oracle._orbit_labels((3, 2, 1, 0)) == (0, 1, 1, 0)
+        assert oracle._orbit_labels(identity_perm(3)) == (0, 1, 2)
+
+
 class TestCompareAll:
     def test_degree_one(self):
         assert compare_all(1, 0) == []
 
     def test_small_grid(self):
         assert compare_all(4, 3) == []
+
+    def test_default_caps(self):
+        assert (oracle.DEFAULT_D_CAP, oracle.DEFAULT_B_CAP) == (6, 5)
+        assert compare_all(6, 5) == []
+        key = make_key(dq=6, b=5, mu=(2, 2, 1, 1), nu=(3, 3))
+        bad = compare_all(6, 5, corruption=key)
+        assert [(r["d"], r["b"], r["mu"], r["nu"]) for r in bad] == [(6, 5, (2, 2, 1, 1), (3, 3))] * 2
 
     def test_parallel_matches_serial(self):
         assert compare_all(3, 2, jobs=2) == []
