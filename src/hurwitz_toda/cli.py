@@ -119,24 +119,16 @@ def cmd_table(args) -> int:
     return 0
 
 
-def cmd_double(args) -> int:
+def cmd_record(args) -> int:
+    """One record: connected for ``double``, disconnected for ``cov``."""
     mu = _parse_partition(args.mu)
     nu = _parse_partition(args.nu)
     if mu.size != nu.size or mu.size == 0:
         sys.stderr.write("mu and nu must be nonempty partitions of the same size\n")
         return 2
-    rec = double_hurwitz(mu.size, args.b, mu, nu)
-    _records_out([rec], args.format, args.out)
-    return 0
-
-
-def cmd_cov(args) -> int:
-    mu = _parse_partition(args.mu)
-    nu = _parse_partition(args.nu)
-    if mu.size != nu.size or mu.size == 0:
-        sys.stderr.write("mu and nu must be nonempty partitions of the same size\n")
-        return 2
-    rec = cov_record(mu.size, args.b, mu, nu)
+    # module names are read per call, so a rebinding of them (a tracer) applies
+    query = double_hurwitz if args.command == "double" else cov_record
+    rec = query(mu.size, args.b, mu, nu)
     _records_out([rec], args.format, args.out)
     return 0
 
@@ -244,21 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("double", help="one connected number")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--nu", required=True)
-    p.add_argument("-b", type=int, default=0)
-    p.add_argument("--format", choices=("json", "csv", "human"), default="human")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_double)
-
-    p = sub.add_parser("cov", help="one disconnected (weighted) count")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--nu", required=True)
-    p.add_argument("-b", type=int, default=0)
-    p.add_argument("--format", choices=("json", "csv", "human"), default="human")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_cov)
+    for name, text in (("double", "one connected number"),
+                       ("cov", "one disconnected (weighted) count")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--mu", required=True)
+        p.add_argument("--nu", required=True)
+        p.add_argument("-b", type=int, default=0)
+        p.add_argument("--format", choices=("json", "csv", "human"), default="human")
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=cmd_record)
 
     p = sub.add_parser("verify", help="check one identity exactly")
     p.add_argument("identity",
@@ -273,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="negative control: bump one series coefficient")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("compare", help="brute-force oracle comparison")
+    p = sub.add_parser("compare", help="oracle comparison: counted permutation "
+                                      "tuples against the character sums")
     common(p, dmax_default=3, bmax_default=2)
     p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_compare)

@@ -118,8 +118,9 @@ def schur_in_power_sums(lam: Partition, *,
                         cache: CharacterCache | None = None) -> TruncatedSeries:
     """Schur polynomial of shape ``lam`` expanded over the first family.
 
-    Returns sum over classes mu of size |lam| of chi(mu) p_mu / z_mu, as a
-    series with no q, beta or primed content.
+    Returns q^|lam| times sum over classes mu of size |lam| of
+    chi(mu) p_mu / z_mu, at caps (|lam|, 0): the q power carries the weight,
+    as in tau.  No beta or primed content.
     """
     cache = cache or DEFAULT_CACHE
     lam = Partition(lam)
@@ -127,8 +128,8 @@ def schur_in_power_sums(lam: Partition, *,
     for mu in partitions_of(lam.size):
         chi = cache.character(lam, mu)
         if chi:
-            terms.append((make_key(mu=mu.parts), Fraction(chi, z_mu(mu))))
-    return TruncatedSeries.from_terms(0, 0, lam.size, terms=terms)
+            terms.append((make_key(dq=lam.size, mu=mu.parts), Fraction(chi, z_mu(mu))))
+    return TruncatedSeries.from_terms(lam.size, 0, terms=terms)
 
 
 class _Cells:
@@ -155,7 +156,6 @@ class _Cells:
         self.tau: dict = {(0, 0): {ZERO_KEY: 1}}  # cell -> {key: count}
         self.conn: dict = {}  # cell -> grouped transitive counts
         self.h: dict = {}  # key -> coefficient of the log, every cell so far
-        self.series: TruncatedSeries | None = None  # tau at tau_box, when asked
         self._tables: dict = {}
         self._tau_groups: dict = {}
         self._merged: dict = {}
@@ -195,13 +195,10 @@ class _Cells:
 
     def tau_series(self, d_max: int, b_max: int) -> TruncatedSeries:
         self.grow_tau(d_max, b_max)
-        big = self.series
-        if big is None or (big.d_max, big.b_max) != self.tau_box:
-            big = self.series = TruncatedSeries(*self.tau_box, coeffs={
-                key: Fraction(x, factorial(d) * factorial(b))
-                for (d, b), cell in self.tau.items() for key, x in cell.items()})
-        same = (big.d_max, big.b_max) == (d_max, b_max)
-        return big if same else big.with_caps(d_max=d_max, b_max=b_max, p_weight_max=d_max)
+        return TruncatedSeries(d_max, b_max, coeffs={
+            key: Fraction(x, factorial(d) * factorial(b))
+            for (d, b), cell in self.tau.items() if d <= d_max and b <= b_max
+            for key, x in cell.items()})
 
     def _table(self, d: int) -> tuple:
         """Classes of degree d, chi(shape, class) by class, f2 by shape, z by class."""
@@ -248,8 +245,8 @@ def build_tau(d_max: int, b_max: int, *,
 
     The coefficient of q^d beta^b p_mu p'_nu is the disconnected count with
     profiles (mu, nu) and b transposition points, divided by b!.  With the
-    default character cache it is restricted from the largest tau built so
-    far, and equals a fresh build, caps included.
+    default character cache it is read from the cells grown so far, and
+    equals a fresh build, caps included.
     """
     store = _store(cache)
     with store.lock:

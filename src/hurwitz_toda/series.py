@@ -9,7 +9,11 @@ identity checks.
 
 A monomial key is the tuple ``(dq, b, mu, nu, z, s)`` where ``mu`` and ``nu``
 are weakly decreasing tuples recording the exponent patterns of the two
-variable families (p_mu = prod_i p_{mu_i}).  Coefficients are stored as
+variable families (p_mu = prod_i p_{mu_i}).  Series are truncated in q,
+beta and the bookkeeping symbols only.  The p-weights need no cap of their
+own: a degree-d covering adds q^d p_mu p'_nu with |mu| = |nu| = d, so every
+key has weight(mu) <= dq and weight(nu) <= dq, and derivatives, shifts and
+q-scaling keep the weight or lower it.  Coefficients are stored as
 ``fractions.Fraction``; the product, exp/log and q-scaling kernels work on
 integer numerators over a common denominator.  Nothing here ever touches
 floating point.
@@ -73,25 +77,22 @@ class TruncatedSeries:
     """Sparse exact-rational series truncated at fixed orders.
 
     Truncation caps are fixed at construction: ``d_max`` for q, ``b_max``
-    for beta, ``p_weight_max`` for the weighted degree of each of the two
-    variable families (default: ``d_max``), plus windows for the optional
-    bookkeeping symbols.  Binary operations require identical caps.
+    for beta, plus windows for the optional bookkeeping symbols.  Binary
+    operations require identical caps.  A key with weight(mu) > dq or
+    weight(nu) > dq is refused, so the q cap also bounds the weights.
     """
 
-    __slots__ = ("d_max", "b_max", "p_weight_max", "z_min", "z_max", "s_max", "_coeffs")
+    __slots__ = ("d_max", "b_max", "z_min", "z_max", "s_max", "_coeffs")
 
-    def __init__(self, d_max: int, b_max: int, p_weight_max: int | None = None, *,
+    def __init__(self, d_max: int, b_max: int, *,
                  z_min: int = 0, z_max: int = 0, s_max: int = 0,
                  coeffs: dict[Key, Fraction] | None = None):
         if d_max < 0 or b_max < 0:
             raise ValueError("truncation orders must be nonnegative")
-        if p_weight_max is None:
-            p_weight_max = d_max
         if z_min > 0 or z_max < 0 or s_max < 0:
             raise ValueError("aux windows must contain zero")
         self.d_max = d_max
         self.b_max = b_max
-        self.p_weight_max = p_weight_max
         self.z_min = z_min
         self.z_max = z_max
         self.s_max = s_max
@@ -108,22 +109,22 @@ class TruncatedSeries:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def one(cls, d_max: int, b_max: int, p_weight_max: int | None = None, **aux) -> "TruncatedSeries":
-        return cls(d_max, b_max, p_weight_max, **aux, coeffs={ZERO_KEY: _ONE})
+    def one(cls, d_max: int, b_max: int, **aux) -> "TruncatedSeries":
+        return cls(d_max, b_max, **aux, coeffs={ZERO_KEY: _ONE})
 
     @classmethod
-    def from_terms(cls, d_max: int, b_max: int, p_weight_max: int | None = None, *,
+    def from_terms(cls, d_max: int, b_max: int, *,
                    terms: Iterable[tuple[Key, Fraction]] = (), **aux) -> "TruncatedSeries":
         acc: dict[Key, Fraction] = {}
         for key, val in terms:
             acc[key] = acc.get(key, _ZERO) + Fraction(val)
-        return cls(d_max, b_max, p_weight_max, **aux, coeffs=acc)
+        return cls(d_max, b_max, **aux, coeffs=acc)
 
     def _caps(self) -> tuple:
-        return (self.d_max, self.b_max, self.p_weight_max, self.z_min, self.z_max, self.s_max)
+        return (self.d_max, self.b_max, self.z_min, self.z_max, self.s_max)
 
     def _same_caps(self, coeffs: dict[Key, Fraction]) -> "TruncatedSeries":
-        out = TruncatedSeries(self.d_max, self.b_max, self.p_weight_max,
+        out = TruncatedSeries(self.d_max, self.b_max,
                               z_min=self.z_min, z_max=self.z_max, s_max=self.s_max)
         out._coeffs = {k: v for k, v in coeffs.items() if v != 0}
         return out
@@ -131,7 +132,7 @@ class TruncatedSeries:
     def _fits(self, key: Key) -> bool:
         dq, b, mu, nu, z, s = key
         return (0 <= dq <= self.d_max and 0 <= b <= self.b_max
-                and sum(mu) <= self.p_weight_max and sum(nu) <= self.p_weight_max
+                and sum(mu) <= dq and sum(nu) <= dq
                 and self.z_min <= z <= self.z_max and 0 <= s <= self.s_max)
 
     def _check_compatible(self, other: "TruncatedSeries") -> None:
@@ -139,13 +140,12 @@ class TruncatedSeries:
             raise ValueError("incompatible truncation orders")
 
     def with_caps(self, d_max: int | None = None, b_max: int | None = None,
-                  p_weight_max: int | None = None, z_min: int | None = None,
-                  z_max: int | None = None, s_max: int | None = None) -> "TruncatedSeries":
+                  z_min: int | None = None, z_max: int | None = None,
+                  s_max: int | None = None) -> "TruncatedSeries":
         """Same terms under new caps; terms outside the new caps are dropped."""
         out = TruncatedSeries(
             self.d_max if d_max is None else d_max,
             self.b_max if b_max is None else b_max,
-            self.p_weight_max if p_weight_max is None else p_weight_max,
             z_min=self.z_min if z_min is None else z_min,
             z_max=self.z_max if z_max is None else z_max,
             s_max=self.s_max if s_max is None else s_max,
@@ -242,8 +242,8 @@ class TruncatedSeries:
     def exp(self) -> "TruncatedSeries":
         """Exponential of a series with zero constant term.
 
-        Computed order by order along the additive grade dq + b + weight(mu)
-        + weight(nu) + s, which avoids forming full powers of the argument:
+        Computed order by order along the additive grade dq + b + s, which
+        avoids forming full powers of the argument:
         E_g = (1/g) sum_h h S_h E_{g-h} for the graded parts S_h.
         """
         if self.constant_term() != 0:
@@ -312,7 +312,7 @@ class TruncatedSeries:
         return parts, den
 
     def _max_grade(self) -> int:
-        return self.d_max + self.b_max + 2 * self.p_weight_max + self.s_max
+        return self.d_max + self.b_max + self.s_max
 
     # -- derivations and substitutions ----------------------------------------
 
@@ -454,7 +454,7 @@ class TruncatedSeries:
 
     def extract_z(self, t: int) -> "TruncatedSeries":
         """Coefficient of z^t, as a series with the z window collapsed."""
-        out = TruncatedSeries(self.d_max, self.b_max, self.p_weight_max, s_max=self.s_max)
+        out = TruncatedSeries(self.d_max, self.b_max, s_max=self.s_max)
         out._coeffs = {
             key[:4] + (0, key[5]): val
             for key, val in self._coeffs.items() if key[4] == t
@@ -463,8 +463,7 @@ class TruncatedSeries:
 
     def extract_s(self, deg: int) -> "TruncatedSeries":
         """Coefficient of s^deg, as a series without the perturbation symbol."""
-        out = TruncatedSeries(self.d_max, self.b_max, self.p_weight_max,
-                              z_min=self.z_min, z_max=self.z_max)
+        out = TruncatedSeries(self.d_max, self.b_max, z_min=self.z_min, z_max=self.z_max)
         out._coeffs = {
             key[:4] + (key[4], 0): val
             for key, val in self._coeffs.items() if key[5] == deg
@@ -496,18 +495,18 @@ class TruncatedSeries:
 
 
 def _grade(key: Key) -> int:
-    return key[0] + key[1] + sum(key[2]) + sum(key[3]) + key[5]
+    return key[0] + key[1] + key[5]
 
 
 # -- integer kernels -----------------------------------------------------------
 #
 # The hot loops run on Python ints: an operand's coefficients are scaled to
 # one common denominator, and one Fraction is built per output term.  A
-# grouped operand maps q-degree to a list of (mu, weight(mu), rows), each row
-# being (nu, weight(nu), z, s, beta-vector) with the beta-vector a list of
-# (b, numerator) pairs in increasing b.
+# grouped operand maps q-degree to a list of (mu, rows), each row being
+# (nu, z, s, beta-vector) with the beta-vector a list of (b, numerator) pairs
+# in increasing b.
 
-Groups = dict[int, list[tuple[tuple, int, list]]]
+Groups = dict[int, list[tuple[tuple, list]]]
 
 
 def _numerators(coeffs: dict[Key, Fraction]) -> tuple[dict[Key, int], int]:
@@ -521,8 +520,7 @@ def _grouped(nums: dict[Key, int]) -> Groups:
     for (dq, b, mu, nu, z, s), x in nums.items():
         tree.setdefault(dq, {}).setdefault(mu, {}).setdefault((nu, z, s), []).append((b, x))
     return {
-        dq: [(mu, sum(mu), [(nu, sum(nu), z, s, sorted(bv))
-                            for (nu, z, s), bv in rows.items()])
+        dq: [(mu, [(nu, z, s, sorted(bv)) for (nu, z, s), bv in rows.items()])
              for mu, rows in by_mu.items()]
         for dq, by_mu in tree.items()
     }
@@ -532,9 +530,8 @@ def _scaled(groups: Groups, factor: int) -> Groups:
     if factor == 1:
         return groups
     return {
-        dq: [(mu, wm, [(nu, wn, z, s, [(b, x * factor) for b, x in bv])
-                       for nu, wn, z, s, bv in rows])
-             for mu, wm, rows in by_mu]
+        dq: [(mu, [(nu, z, s, [(b, x * factor) for b, x in bv]) for nu, z, s, bv in rows])
+             for mu, rows in by_mu]
         for dq, by_mu in groups.items()
     }
 
@@ -545,9 +542,10 @@ def _mul_groups(acc: dict, a: Groups, b: Groups, caps: TruncatedSeries,
 
     ``acc`` maps (dq, mu, nu, z, s) to a dense integer beta-vector.  Pattern
     merges are memoized in ``merged`` per pattern pair, so each is sorted once
-    however many beta terms the two groups carry.
+    however many beta terms the two groups carry.  Weights need no check:
+    they are at most the q-degree, which is capped.
     """
-    d_max, b_max, pw_max = caps.d_max, caps.b_max, caps.p_weight_max
+    d_max, b_max = caps.d_max, caps.b_max
     z_lo, z_hi, s_hi = caps.z_min, caps.z_max, caps.s_max
     width = b_max + 1
     for da, by_mu_a in a.items():
@@ -555,17 +553,13 @@ def _mul_groups(acc: dict, a: Groups, b: Groups, caps: TruncatedSeries,
             dq = da + db
             if dq > d_max:
                 continue
-            for mu1, wm1, rows1 in by_mu_a:
-                for mu2, wm2, rows2 in by_mu_b:
-                    if wm1 + wm2 > pw_max:
-                        continue
+            for mu1, rows1 in by_mu_a:
+                for mu2, rows2 in by_mu_b:
                     mu = merged.get((mu1, mu2))
                     if mu is None:
                         mu = merged[(mu1, mu2)] = tuple(sorted(mu1 + mu2, reverse=True))
-                    for nu1, wn1, z1, s1, bv1 in rows1:
-                        for nu2, wn2, z2, s2, bv2 in rows2:
-                            if wn1 + wn2 > pw_max:
-                                continue
+                    for nu1, z1, s1, bv1 in rows1:
+                        for nu2, z2, s2, bv2 in rows2:
                             z = z1 + z2
                             if z < z_lo or z > z_hi:
                                 continue

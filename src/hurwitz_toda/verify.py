@@ -56,7 +56,9 @@ class VerificationReport:
                 key_to_json_obj(self.first_failure)
                 if self.first_failure is not None else None
             ),
-            "notes": {k: str(v) for k, v in self.notes.items()},
+            # flags and labels as they are, rationals as integers or "num/den"
+            "notes": {k: v if isinstance(v, (bool, str)) else format_rational(v)
+                      for k, v in self.notes.items()},
         }
         # only failing reports carry a residual value
         if self.first_failure is not None:
@@ -177,7 +179,6 @@ def verify_hirota(m: int, n_s: int, d_max: int, b_max: int, *,
     if side not in ("p", "pprime"):
         raise ValueError("side must be 'p' or 'pprime'")
     tau = _corrupted(build_tau(d_max, b_max, cache=cache), corruption)
-    w = tau.p_weight_max
     primed = side == "pprime"
 
     # z powers a product must supply so the extractions stay exact: the
@@ -189,7 +190,7 @@ def verify_hirota(m: int, n_s: int, d_max: int, b_max: int, *,
         # z_min admits the prefactor's z^{-n_s}; shifted factors stay >= 0
         lifted = tau.with_caps(z_min=-n_s, z_max=zmax, s_max=1)
         shifts = _merge_shifts(
-            _zvec_shifts(zv_sign, zv_prime, w),
+            _zvec_shifts(zv_sign, zv_prime, tau.d_max),
             [(n_s, primed, [ShiftTerm(Fraction(s_sign), s_degree=1)])],
         )
         return lifted.scale_q_exp(scale).shift_p(shifts)

@@ -69,8 +69,20 @@ class TestSingleQueries:
         assert rec["value"] == "1/2" and rec["connected"] is False
 
     def test_mismatched_profiles(self, capsys):
-        code, _, err = run(capsys, "double", "--mu", "2", "--nu", "3", "-b", "0")
-        assert code == 2 and "same size" in err
+        for command in ("double", "cov"):
+            code, out, err = run(capsys, command, "--mu", "2", "--nu", "3", "-b", "0")
+            assert code == 2 and out == "" and "same size" in err
+
+    def test_query_read_at_call_time(self, capsys, monkeypatch):
+        # a rebinding of the module names after import still applies
+        calls = []
+        for name in ("double_hurwitz", "cov_record"):
+            original = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, _f=original, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        run(capsys, "double", "--mu", "2", "--nu", "2", "-b", "0")
+        run(capsys, "cov", "--mu", "2", "--nu", "2", "-b", "0")
+        assert calls == ["double_hurwitz", "cov_record"]
 
     def test_bad_partition_usage_error(self, capsys):
         code, out, err = run(capsys, "double", "--mu", "0", "--nu", "1")
@@ -92,6 +104,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "hirota", "-m", "0", "--sn", "1", "--dmax", "4")
         assert code == 0
         assert "matches_toda_residual: True" in out
+
+    def test_json_notes_are_json_values(self, capsys):
+        code, out, _ = run(capsys, "verify", "hirota", "-m", "0", "--sn", "1", "--dmax", "4",
+                           "--format", "json")
+        assert code == 0
+        assert '"matches_toda_residual": true' in out
+        assert json.loads(out)["notes"] == {"side": "pprime", "matches_toda_residual": True}
+        code, out, _ = run(capsys, "verify", "tau-n", "-n", "0", "--dmax", "2", "--bmax", "2",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["notes"] == {"prefactor_beta_exponent": 0}
 
     def test_tau_n(self, capsys):
         code, out, _ = run(capsys, "verify", "tau-n", "-n", "1", "--dmax", "3", "--bmax", "3")

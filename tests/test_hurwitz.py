@@ -88,18 +88,20 @@ class TestCovBurnside:
 class TestSchur:
     def test_single_box(self):
         s = schur_in_power_sums(P((1,)))
-        assert s.coefficient(make_key(mu=(1,))) == 1
+        assert s.coefficient(make_key(dq=1, mu=(1,))) == 1
         assert len(s) == 1
+        assert (s.d_max, s.b_max) == (1, 0)
 
     def test_two_box_row(self):
         s = schur_in_power_sums(P((2,)))
-        assert s.coefficient(make_key(mu=(1, 1))) == F(1, 2)
-        assert s.coefficient(make_key(mu=(2,))) == F(1, 2)
+        assert s.coefficient(make_key(dq=2, mu=(1, 1))) == F(1, 2)
+        assert s.coefficient(make_key(dq=2, mu=(2,))) == F(1, 2)
 
     def test_two_box_column(self):
         s = schur_in_power_sums(P((1, 1)))
-        assert s.coefficient(make_key(mu=(1, 1))) == F(1, 2)
-        assert s.coefficient(make_key(mu=(2,))) == F(-1, 2)
+        assert s.coefficient(make_key(dq=2, mu=(1, 1))) == F(1, 2)
+        assert s.coefficient(make_key(dq=2, mu=(2,))) == F(-1, 2)
+        assert len(s) == 2 and (s.d_max, s.b_max) == (2, 0)
 
 
 class TestTau:
@@ -147,15 +149,18 @@ class TestSeriesCache:
                 assert DEFAULT_CACHE.misses == misses
                 fresh = build_tau(d, b, cache=CharacterCache())
                 assert tau == fresh
-                assert (tau.d_max, tau.b_max, tau.p_weight_max) == (d, b, d)
-        assert build_tau(6, 5) is hurwitz._STORE.series
+                assert (tau.d_max, tau.b_max) == (d, b)
+        assert hurwitz._STORE.tau_box == (6, 5)
 
     def test_rebuild_at_union_of_boxes(self):
         build_tau(3, 5)
         build_tau(5, 3)
-        tau = hurwitz._STORE.series
-        assert (tau.d_max, tau.b_max) == (5, 5)
-        assert build_tau(5, 5) is tau
+        assert hurwitz._STORE.tau_box == (5, 5)
+        misses = DEFAULT_CACHE.misses
+        tau = build_tau(5, 5)
+        assert DEFAULT_CACHE.misses == misses
+        assert tau == build_tau(5, 5, cache=CharacterCache())
+        assert hurwitz._STORE.tau_box == (5, 5)
 
     def test_connected_reads_equal_fresh_build(self):
         hurwitz_table(5, 5)
@@ -193,7 +198,9 @@ class TestSeriesCache:
         assert set(store.tau) == {(d, b) for d in range(8) for b in range(8) if d or not b}
         assert set(store.conn) == {(d, b) for d in range(1, 5) for b in range(7)}
         assert all(k[0] <= 4 and k[1] <= 6 for k in store.h)
-        assert (store.series.d_max, store.series.b_max) == (7, 7)
+        misses = DEFAULT_CACHE.misses
+        assert len(build_tau(7, 7)) == sum(map(len, store.tau.values()))
+        assert DEFAULT_CACHE.misses == misses and store.tau_box == (7, 7)
 
     def test_concurrent_requests(self):
         boxes = [(d, b) for d in range(1, 6) for b in range(6)]

@@ -16,24 +16,30 @@ from hurwitz_toda.series import (
 F = Fraction
 
 
-def series(d_max, b_max, terms, p_weight_max=None, **aux):
-    return TruncatedSeries.from_terms(d_max, b_max, p_weight_max, terms=terms, **aux)
+def series(d_max, b_max, terms, **aux):
+    return TruncatedSeries.from_terms(d_max, b_max, terms=terms, **aux)
 
 
-def random_series(rng, d_max=3, b_max=2, pw=3, n_terms=6, constant=None):
-    pool = [p.parts for p in enumerate_partitions(pw)]
+def patterns_up_to(n):
+    return [p.parts for m in range(n + 1) for p in enumerate_partitions(m)]
+
+
+def random_dq(rng, mu, nu, d_max):
+    """A q-degree at least both weights, as every key must have."""
+    return rng.randint(max(sum(mu), sum(nu)), d_max)
+
+
+def random_series(rng, d_max=3, b_max=2, n_terms=6, constant=None):
+    pool = patterns_up_to(d_max)
     coeffs = {}
     for _ in range(n_terms):
-        key = make_key(
-            dq=rng.randint(0, d_max),
-            b=rng.randint(0, b_max),
-            mu=rng.choice(pool),
-            nu=rng.choice(pool),
-        )
+        mu, nu = rng.choice(pool), rng.choice(pool)
+        key = make_key(dq=random_dq(rng, mu, nu, d_max), b=rng.randint(0, b_max),
+                       mu=mu, nu=nu)
         coeffs[key] = F(rng.randint(-4, 4), rng.randint(1, 4))
     if constant is not None:
         coeffs[ZERO_KEY] = F(constant)
-    return TruncatedSeries(d_max, b_max, pw, coeffs={k: v for k, v in coeffs.items() if v})
+    return TruncatedSeries(d_max, b_max, coeffs={k: v for k, v in coeffs.items() if v})
 
 
 class TestConstruction:
@@ -49,8 +55,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TruncatedSeries(-1, 0)
 
-    def test_default_p_weight_is_d_max(self):
-        assert TruncatedSeries(5, 2).p_weight_max == 5
+    def test_weight_above_q_degree_rejected(self):
+        keys = [make_key(dq=1, mu=(2,)), make_key(dq=2, nu=(2, 1)), make_key(mu=(1,), z=1),
+                make_key(dq=3, b=1, mu=(4,), nu=(1, 1, 1))]
+        for key in keys:
+            with pytest.raises(ValueError, match="truncation"):
+                TruncatedSeries(5, 2, z_max=1, coeffs={key: F(1)})
+            with pytest.raises(ValueError, match="truncation"):
+                TruncatedSeries.from_terms(5, 2, z_max=1, terms=[(key, F(1, 2))])
+            with pytest.raises(ValueError, match="truncation"):
+                TruncatedSeries.one(5, 2, z_max=1).with_coefficient(key, F(3))
+            # the same patterns at a q-degree that carries them are accepted
+            ok = (max(sum(key[2]), sum(key[3])),) + key[1:]
+            assert TruncatedSeries(5, 2, z_max=1, coeffs={ok: F(1)}).coefficient(ok) == 1
 
     def test_make_key_canonicalizes(self):
         assert make_key(mu=(1, 3, 1)) == make_key(mu=(3, 1, 1))
@@ -109,7 +126,7 @@ class TestRingOps:
 def in_window(caps, key):
     dq, b, mu, nu, z, s = key
     return (dq <= caps.d_max and b <= caps.b_max
-            and sum(mu) <= caps.p_weight_max and sum(nu) <= caps.p_weight_max
+            and sum(mu) <= dq and sum(nu) <= dq
             and caps.z_min <= z <= caps.z_max and s <= caps.s_max)
 
 
@@ -122,13 +139,13 @@ def naive_product(a, b):
                    tuple(sorted(nu1 + nu2, reverse=True)), z1 + z2, s1 + s2)
             if in_window(a, key):
                 acc[key] = acc.get(key, F(0)) + c1 * c2
-    return TruncatedSeries(a.d_max, a.b_max, a.p_weight_max, z_min=a.z_min,
+    return TruncatedSeries(a.d_max, a.b_max, z_min=a.z_min,
                            z_max=a.z_max, s_max=a.s_max, coeffs=acc)
 
 
 def naive_power_series(x, coeffs):
     """sum_k coeffs[k] x^k by repeated naive products."""
-    power = TruncatedSeries.one(x.d_max, x.b_max, x.p_weight_max, z_min=x.z_min,
+    power = TruncatedSeries.one(x.d_max, x.b_max, z_min=x.z_min,
                                 z_max=x.z_max, s_max=x.s_max)
     total = power * coeffs[0]
     for c in coeffs[1:]:
@@ -137,19 +154,19 @@ def naive_power_series(x, coeffs):
     return total
 
 
-def random_aux_series(rng, d_max=3, b_max=3, pw=3, n_terms=8,
+def random_aux_series(rng, d_max=3, b_max=3, n_terms=8,
                       z_min=0, z_max=2, s_max=1):
     """Random series with z and s symbols, mixed denominators, both signs."""
-    pool = [p.parts for n in range(pw + 1) for p in enumerate_partitions(n)]
+    pool = patterns_up_to(d_max)
     coeffs = {}
     for _ in range(n_terms):
-        key = make_key(dq=rng.randint(0, d_max), b=rng.randint(0, b_max),
-                       mu=rng.choice(pool), nu=rng.choice(pool),
-                       z=rng.randint(z_min, z_max), s=rng.randint(0, s_max))
+        mu, nu = rng.choice(pool), rng.choice(pool)
+        key = make_key(dq=random_dq(rng, mu, nu, d_max), b=rng.randint(0, b_max),
+                       mu=mu, nu=nu, z=rng.randint(z_min, z_max), s=rng.randint(0, s_max))
         if key[:4] == ZERO_KEY[:4] and key[5] == 0:
             continue  # no constant or bare z terms, so exp and log apply
         coeffs[key] = F(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 5, 7, 9, 12, 25]))
-    return TruncatedSeries(d_max, b_max, pw, z_min=z_min, z_max=z_max, s_max=s_max,
+    return TruncatedSeries(d_max, b_max, z_min=z_min, z_max=z_max, s_max=s_max,
                            coeffs=coeffs)
 
 
@@ -163,28 +180,26 @@ class TestKernelReference:
             b = random_aux_series(rng, z_min=-2)
             assert a * b == naive_product(a, b)
 
-    def test_product_weight_cap_apart_from_d_max(self):
-        rng = random.Random(5)
-        for _ in range(30):
-            a = random_aux_series(rng, d_max=4, b_max=2, pw=2)
-            b = random_aux_series(rng, d_max=4, b_max=2, pw=2)
-            assert a * b == naive_product(a, b)
-        schur = schur_in_power_sums((2, 1)).with_caps(p_weight_max=5)
+    def test_schur_square_truncated_by_q_cap(self):
+        # q^3 s_21 squared lives at q^6: cut at d_max = 5, kept at 6
+        schur = schur_in_power_sums((2, 1)).with_caps(d_max=5)
         square = schur * schur
         assert square == naive_product(schur, schur)
         assert square.is_zero()
-        schur = schur.with_caps(p_weight_max=6)
+        schur = schur.with_caps(d_max=6)
         square = schur * schur
         assert square == naive_product(schur, schur)
         assert not square.is_zero()
+        assert all(key[0] == 6 and sum(key[2]) == 6 for key in square.keys())
 
     def test_product_cancellation(self):
-        x = series(2, 1, [(make_key(dq=1, mu=(1,), nu=(1,)), F(1, 3))])
-        y = series(2, 1, [(make_key(dq=1, b=1, mu=(2,), nu=(1,)), F(-2, 5))])
+        x = series(4, 1, [(make_key(dq=1, mu=(1,), nu=(1,)), F(1, 3))])
+        y = series(4, 1, [(make_key(dq=2, b=1, mu=(2,), nu=(1,)), F(-2, 5))])
         prod = (x + y) * (x - y)
         assert prod == naive_product(x + y, x - y)
         assert prod == x * x - y * y
-        cross = make_key(dq=2, b=1, mu=(2, 1), nu=(1, 1))
+        assert not (x * y).is_zero()
+        cross = make_key(dq=3, b=1, mu=(2, 1), nu=(1, 1))
         assert cross not in set(prod.keys())
         # s * s vanishes at s_max = 1
         s1 = series(1, 1, [(make_key(s=1), F(3, 4))], s_max=1)
@@ -193,9 +208,9 @@ class TestKernelReference:
     def test_product_with_empty_operand(self):
         rng = random.Random(11)
         a = random_aux_series(rng)
-        zero = TruncatedSeries(3, 3, 3, z_max=2, s_max=1)
+        zero = TruncatedSeries(3, 3, z_max=2, s_max=1)
         assert (a * zero).is_zero() and (zero * a).is_zero()
-        assert zero.exp() == TruncatedSeries.one(3, 3, 3, z_max=2, s_max=1)
+        assert zero.exp() == TruncatedSeries.one(3, 3, z_max=2, s_max=1)
         assert (zero + 1).log().is_zero()
 
     def test_exp_and_log_random(self):
@@ -203,8 +218,8 @@ class TestKernelReference:
         exp_coeffs = [F(1, factorial(k)) for k in range(12)]
         log_coeffs = [F(0)] + [F((-1) ** (k + 1), k) for k in range(1, 12)]
         for _ in range(8):
-            x = random_aux_series(rng, d_max=2, b_max=2, pw=2, n_terms=5, z_max=1)
-            # every term has grade >= 1 and the grade is at most 2 + 2 + 4 + 1
+            x = random_aux_series(rng, d_max=2, b_max=2, n_terms=5, z_max=1)
+            # every term has grade dq + b + s >= 1, and the grade is at most 2 + 2 + 1
             assert x.exp() == naive_power_series(x, exp_coeffs)
             assert (x + 1).log() == naive_power_series(x, log_coeffs)
 
@@ -258,12 +273,12 @@ class TestExpLog:
 
 class TestDerivatives:
     def test_power_rule(self):
-        s = series(0, 0, [(make_key(mu=(1, 1)), F(1))], p_weight_max=2)
+        s = series(2, 0, [(make_key(dq=2, mu=(1, 1)), F(1))])
         d = s.d_dp(1)
-        assert d.coefficient(make_key(mu=(1,))) == 2
+        assert d.coefficient(make_key(dq=2, mu=(1,))) == 2
 
     def test_absent_variable(self):
-        s = series(1, 0, [(make_key(dq=1, mu=(2,), nu=(1,)), F(1))], p_weight_max=2)
+        s = series(2, 0, [(make_key(dq=2, mu=(2,), nu=(1,)), F(1))])
         assert s.d_dp(1).is_zero()
 
     def test_mixed_partials_commute(self):
@@ -329,11 +344,12 @@ class TestShifts:
         assert tau.shift_p([]) == tau
 
     def test_binomial_expansion(self):
-        s = series(0, 0, [(make_key(mu=(1, 1)), F(1))], p_weight_max=2, z_max=2)
+        s = series(2, 0, [(make_key(dq=2, mu=(1, 1)), F(1))], z_max=2)
         shifted = s.shift_p([(1, False, [ShiftTerm(F(1), z_power=1)])])
-        assert shifted.coefficient(make_key(mu=(1, 1))) == 1
-        assert shifted.coefficient(make_key(mu=(1,), z=1)) == 2
-        assert shifted.coefficient(make_key(z=2)) == 1
+        assert shifted.coefficient(make_key(dq=2, mu=(1, 1))) == 1
+        assert shifted.coefficient(make_key(dq=2, mu=(1,), z=1)) == 2
+        assert shifted.coefficient(make_key(dq=2, z=2)) == 1
+        assert len(shifted) == 3
 
     def test_z_linear_term_matches_derivative(self):
         # shifting every p_k by -z^k: the z^1 coefficient is -d/dp1
@@ -345,10 +361,10 @@ class TestShifts:
         assert got == want
 
     def test_first_order_cap_respected(self):
-        s = series(0, 0, [(make_key(mu=(1, 1)), F(1))], p_weight_max=2, s_max=1)
+        s = series(2, 0, [(make_key(dq=2, mu=(1, 1)), F(1))], s_max=1)
         shifted = s.shift_p([(1, False, [ShiftTerm(F(1), s_degree=1)])])
         # the s^2 part of (p1 + s)^2 is pruned by the cap
-        assert shifted.coefficient(make_key(mu=(1,), s=1)) == 2
+        assert shifted.coefficient(make_key(dq=2, mu=(1,), s=1)) == 2
         assert all(key[5] <= 1 for key, _ in shifted.terms())
 
     def test_unsupported_order_rejected(self):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hurwitz_toda.hurwitz import build_tau
-from hurwitz_toda.series import make_key
+from hurwitz_toda.series import TruncatedSeries, make_key
 from hurwitz_toda.verify import (
     toda_residual,
     verify_hirota,
@@ -144,6 +144,43 @@ class TestSpecialized:
     def test_input_validated(self):
         with pytest.raises(ValueError):
             verify_toda_specialized(0)
+
+
+class TestWeightInvariant:
+    """Every series the verifiers build keeps weight(mu), weight(nu) <= dq.
+
+    The product kernel checks only the q cap and relies on this; each result
+    of a series operation passes through ``_same_caps``, which is checked here.
+    """
+
+    @pytest.fixture
+    def results(self, monkeypatch):
+        seen = []
+        same_caps = TruncatedSeries._same_caps
+
+        def checked(self, coeffs):
+            out = same_caps(self, coeffs)
+            bad = [k for k in out.keys() if sum(k[2]) > k[0] or sum(k[3]) > k[0]]
+            assert not bad, bad[:3]
+            seen.append(len(out))
+            return out
+
+        monkeypatch.setattr(TruncatedSeries, "_same_caps", checked)
+        return seen
+
+    RUNS = {
+        "toda": lambda: verify_toda(4, 4),
+        **{f"tau-n{n}": (lambda n=n: verify_tau_n(n, 4, 4)) for n in (-1, 0, 2)},
+        **{f"hirota-m{m}-s{n_s}-{side}": (lambda m=m, n_s=n_s, side=side:
+                                          verify_hirota(m, n_s, 3, 3, side=side))
+           for m in (-1, 0, 1) for n_s in (1, 2, 3) for side in ("p", "pprime")},
+        "toda-specialized": lambda: verify_toda_specialized(4),
+    }
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_every_result_key(self, results, name):
+        assert self.RUNS[name]().passed
+        assert sum(results) > 0
 
 
 class TestReports:
