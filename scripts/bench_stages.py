@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Per-stage timings of the Toda check and the oracle comparison, as recorded
-in the BENCH_*.json files.
+"""Per-stage timings of the Toda and Hirota checks and the oracle comparison,
+as recorded in the BENCH_*.json files.
 
     python3 scripts/bench_stages.py [--src DIR] [--orders 8,8 10,10 12,12]
                                     [--oracle 6,4 6,5]
@@ -12,11 +12,18 @@ times, with ``time.perf_counter`` in this one process:
     build_tau     tau assembly from a cold character cache
     log           tau.log()
     scale_q_exp   tau.scale_q_exp(1) and tau.scale_q_exp(-1)
+    d_dp          dtau/dp1, dtau/dp'1 and d2tau/dp1dp'1, toda_residual's
+                  three derivatives
     scaled        tau(e^beta q) * tau(e^-beta q)   \\
     tau_mixed     tau * d2tau/dp1dp'1               > toda_residual's products,
     d1_d1p        (dtau/dp1)(dtau/dp'1)            /  in its order
+    hirota_shift  the four shift_p calls of verify_hirota(0, 1), on their
+                  lifted, q-scaled inputs
+    extract_z     the two z-extractions of verify_hirota(0, 1), from the
+                  products of the shifted factors
 
-with the term count of each result, and checks that the residual vanishes.
+with the term count of each result, and exits nonzero unless the Toda
+residual vanishes.
 For each oracle order it times the two stages of ``compare`` that do not
 build series:
 
@@ -26,8 +33,8 @@ build series:
     class_algebra  cov_with_transpositions for every (d, b, mu, nu), with the
                    character cache warmed by one untimed pass
 
-An empty ``--orders`` or ``--oracle`` skips that part.  Prints one JSON
-object.
+An empty ``--orders`` or ``--oracle`` (no values, or ``""``) skips that
+part.  Prints one JSON object.
 """
 
 from __future__ import annotations
@@ -54,14 +61,26 @@ def stages(ht, d_max: int, b_max: int) -> dict:
     (tau,) = timed("build_tau", lambda: [ht.build_tau(d_max, b_max, cache=cache)])
     timed("log", lambda: [tau.log()])
     up, down = timed("scale_q_exp", lambda: [tau.scale_q_exp(1), tau.scale_q_exp(-1)])
-    d1 = tau.d_dp(1)
-    d1p = tau.d_dp(1, prime=True)
-    mixed = d1.d_dp(1, prime=True)
+    d1, d1p, mixed = timed("d_dp", lambda: [
+        d1 := tau.d_dp(1), tau.d_dp(1, prime=True), d1.d_dp(1, prime=True)])
     (scaled,) = timed("scaled", lambda: [up * down])
     (tau_mixed,) = timed("tau_mixed", lambda: [tau * mixed])
     (d1_d1p,) = timed("d1_d1p", lambda: [d1 * d1p])
     if not (tau_mixed - d1_d1p - scaled.mul_q_power(1)).is_zero():
         raise SystemExit(f"toda residual nonzero at ({d_max}, {b_max})")
+
+    # verify_hirota's four factors at m = 0, n_s = 1, side pprime: (z_max,
+    # q-scaling, sign of s, sign of the z-vector, z-vector on the primed family)
+    factors = [(0, 1, 1, 1, True), (0, -1, -1, -1, True), (1, 0, 1, -1, False),
+               (1, 0, -1, 1, False)]
+    inputs = [(tau.with_caps(z_min=-1, z_max=z_max, s_max=1).scale_q_exp(scale),
+               ht.verify._merge_shifts(ht.verify._zvec_shifts(zv, zv_prime, d_max),
+                                       [(1, True, [ht.ShiftTerm(s_sign, s_degree=1)])]))
+              for z_max, scale, s_sign, zv, zv_prime in factors]
+    a, b, c, d = timed("hirota_shift", lambda: [x.shift_p(sh) for x, sh in inputs])
+    lhs, rhs = a * b, c * d
+    lhs = lhs + lhs.mul_aux_monomial(-2, dz=-1, ds=1)
+    timed("extract_z", lambda: [lhs.extract_z(-1), rhs.extract_z(1)])
     return out
 
 
@@ -97,11 +116,11 @@ def main(argv=None) -> int:
     import hurwitz_toda as ht
 
     report = {}
-    for order in args.orders:
+    for order in filter(None, args.orders):
         d_max, b_max = (int(x) for x in order.split(","))
         report[order] = stages(ht, d_max, b_max)
         print(f"{order}: {report[order]}", file=sys.stderr)
-    for order in args.oracle:
+    for order in filter(None, args.oracle):
         d_max, b_max = (int(x) for x in order.split(","))
         report.setdefault("oracle", {})[order] = oracle_stages(ht, d_max, b_max)
         print(f"oracle {order}: {report['oracle'][order]}", file=sys.stderr)

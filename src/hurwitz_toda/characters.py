@@ -14,6 +14,11 @@ from fractions import Fraction
 from .partitions import Partition, class_size
 
 
+def _partition(x) -> Partition:
+    """``x`` itself when it already is a Partition, so a cache hit builds none."""
+    return x if isinstance(x, Partition) else Partition(x)
+
+
 class CharacterCache:
     """Memo table of character values keyed by (shape, class type).
 
@@ -31,20 +36,18 @@ class CharacterCache:
         return {"hits": self.hits, "misses": self.misses, "entries": len(self._table)}
 
     def seed(self, lam: Partition, mu: Partition, value: int) -> None:
-        lam, mu = Partition(lam), Partition(mu)
-        key = (lam.parts, tuple(sorted(mu.parts, reverse=True)))
-        self._table[key] = value
+        self._table[(_partition(lam).parts, _partition(mu).parts)] = value
 
     def character(self, lam: Partition, mu: Partition) -> int:
-        lam, mu = Partition(lam), Partition(mu)
+        lam, mu = _partition(lam), _partition(mu)
         if lam.size != mu.size:
             raise ValueError(
                 f"incompatible sizes: |lambda|={lam.size}, |mu|={mu.size}"
             )
-        return self._char(lam.parts, tuple(sorted(mu.parts, reverse=True)))
+        return self._char(lam.parts, mu.parts)
 
     def dimension(self, lam: Partition) -> int:
-        lam = Partition(lam)
+        lam = _partition(lam)
         return self._char(lam.parts, (1,) * lam.size)
 
     def _char(self, lam: tuple, mu: tuple) -> int:

@@ -155,7 +155,7 @@ class _Cells:
         self.tau_box = self.log_box = (0, 0)
         self.tau: dict = {(0, 0): {ZERO_KEY: 1}}  # cell -> {key: count}
         self.conn: dict = {}  # cell -> grouped transitive counts
-        self.h: dict = {}  # key -> coefficient of the log, every cell so far
+        self.h: dict = {}  # key -> d! b! times its coefficient in the log, every cell so far
         self._tables: dict = {}
         self._tau_groups: dict = {}
         self._merged: dict = {}
@@ -195,10 +195,12 @@ class _Cells:
 
     def tau_series(self, d_max: int, b_max: int) -> TruncatedSeries:
         self.grow_tau(d_max, b_max)
-        return TruncatedSeries(d_max, b_max, coeffs={
-            key: Fraction(x, factorial(d) * factorial(b))
-            for (d, b), cell in self.tau.items() if d <= d_max and b <= b_max
-            for key, x in cell.items()})
+        dfact, bfact = factorial(d_max), factorial(b_max)
+        # cell (d, b) holds d! b! times its coefficients: scale all to d_max! b_max!
+        nums = {key: x * (dfact // factorial(d)) * (bfact // factorial(b))
+                for (d, b), cell in self.tau.items() if d <= d_max and b <= b_max
+                for key, x in cell.items()}
+        return TruncatedSeries(d_max, b_max)._same_caps(nums, dfact * bfact)
 
     def _table(self, d: int) -> tuple:
         """Classes of degree d, chi(shape, class) by class, f2 by shape, z by class."""
@@ -211,7 +213,7 @@ class _Cells:
 
     def _conn_cell(self, d: int, b: int) -> None:
         acc: dict = {}
-        caps = TruncatedSeries(d, b)
+        caps = (d, b, 0, 0, 0)
         for k in range(1, d):
             for c in range(b + 1):
                 rest = self._tau_groups.get((d - k, b - c))
@@ -225,8 +227,7 @@ class _Cells:
             counts[key] = counts.get(key, 0) - x
         counts = {key: x for key, x in counts.items() if x}
         self.conn[(d, b)] = _grouped(counts)
-        den = factorial(d) * factorial(b)
-        self.h.update((key, Fraction(x, den)) for key, x in counts.items())
+        self.h.update(counts)
 
 
 # The cells of the default character cache, shared by every call; memory is
@@ -271,9 +272,9 @@ def genus_of(b: int, mu: Partition, nu: Partition) -> int | None:
 
 
 def _record(h: dict, d: int, b: int, mu: Partition, nu: Partition) -> HurwitzRecord:
-    """b! times the coefficient of q^d beta^b p_mu p'_nu in the log coefficients h."""
-    coeff = h.get(make_key(dq=d, b=b, mu=mu.parts, nu=nu.parts), Fraction(0))
-    return HurwitzRecord(d=d, b=b, mu=mu, nu=nu, value=coeff * factorial(b),
+    """b! times the coefficient of q^d beta^b p_mu p'_nu, from the log counts h."""
+    count = h.get(make_key(dq=d, b=b, mu=mu.parts, nu=nu.parts), 0)
+    return HurwitzRecord(d=d, b=b, mu=mu, nu=nu, value=Fraction(count, factorial(d)),
                          genus=genus_of(b, mu, nu), connected=True)
 
 

@@ -13,10 +13,11 @@ variable families (p_mu = prod_i p_{mu_i}).  Series are truncated in q,
 beta and the bookkeeping symbols only.  The p-weights need no cap of their
 own: a degree-d covering adds q^d p_mu p'_nu with |mu| = |nu| = d, so every
 key has weight(mu) <= dq and weight(nu) <= dq, and derivatives, shifts and
-q-scaling keep the weight or lower it.  Coefficients are stored as
-``fractions.Fraction``; the product, exp/log and q-scaling kernels work on
-integer numerators over a common denominator.  Nothing here ever touches
-floating point.
+q-scaling keep the weight or lower it.  A series stores integer numerators
+over one denominator, in lowest terms, and every operation works on those
+integers; ``fractions.Fraction`` appears only at the API, where coefficients
+are read out and where rational scalars come in.  Floats are refused, so
+nothing here ever touches floating point.
 
 Series are immutable: every operation returns a new value, so instances can
 be shared freely across threads.
@@ -27,15 +28,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Callable, Iterable, Iterator
 
 Key = tuple[int, int, tuple, tuple, int, int]
 
 ZERO_KEY: Key = (0, 0, (), (), 0, 0)
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def make_key(dq: int = 0, b: int = 0, mu=(), nu=(), z: int = 0, s: int = 0) -> Key:
@@ -60,17 +58,33 @@ def key_to_json_obj(key: Key) -> dict:
     }
 
 
+def _exact(value) -> Fraction:
+    """An int or Fraction as a Fraction; anything else, floats included, is refused."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}")
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class ShiftTerm:
     """One summand of a variable shift p_k -> p_k + sum(terms).
 
-    Each term is coeff * z^z_power * s^s_degree with s_degree at most one;
-    higher orders in the perturbation symbol are out of scope.
+    Each term is coeff * z^z_power * s^s_degree with an integer coeff (a
+    non-integer is refused) and s_degree at most one; higher orders in the
+    perturbation symbol are out of scope.
     """
 
-    coeff: Fraction
+    coeff: int
     z_power: int = 0
     s_degree: int = 0
+
+    def __post_init__(self):
+        coeff = _exact(self.coeff)
+        if coeff.denominator != 1:
+            raise ValueError(f"shift coefficient {coeff} is not an integer")
+        if self.s_degree not in (0, 1):
+            raise ValueError("unsupported shift order")
+        object.__setattr__(self, "coeff", coeff.numerator)
 
 
 class TruncatedSeries:
@@ -80,9 +94,11 @@ class TruncatedSeries:
     for beta, plus windows for the optional bookkeeping symbols.  Binary
     operations require identical caps.  A key with weight(mu) > dq or
     weight(nu) > dq is refused, so the q cap also bounds the weights.
+    Coefficients are nonzero integer numerators over one positive
+    denominator, with no common factor, so equal series have equal storage.
     """
 
-    __slots__ = ("d_max", "b_max", "z_min", "z_max", "s_max", "_coeffs")
+    __slots__ = ("d_max", "b_max", "z_min", "z_max", "s_max", "_nums", "_den")
 
     def __init__(self, d_max: int, b_max: int, *,
                  z_min: int = 0, z_max: int = 0, s_max: int = 0,
@@ -96,37 +112,36 @@ class TruncatedSeries:
         self.z_min = z_min
         self.z_max = z_max
         self.s_max = s_max
-        self._coeffs: dict[Key, Fraction] = {}
-        if coeffs:
-            for key, val in coeffs.items():
-                val = Fraction(val)
-                if val == 0:
-                    continue
-                if not self._fits(key):
-                    raise ValueError(f"key {key} violates truncation orders")
-                self._coeffs[key] = val
+        values = {key: _exact(val) for key, val in (coeffs or {}).items()}
+        for key, val in values.items():
+            if val and not self._fits(key):
+                raise ValueError(f"key {key} violates truncation orders")
+        # over the lcm of the reduced denominators the numerators share no factor
+        self._den = lcm(*(v.denominator for v in values.values()))
+        self._nums = {k: v.numerator * (self._den // v.denominator) for k, v in values.items() if v}
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
     def one(cls, d_max: int, b_max: int, **aux) -> "TruncatedSeries":
-        return cls(d_max, b_max, **aux, coeffs={ZERO_KEY: _ONE})
+        return cls(d_max, b_max, **aux, coeffs={ZERO_KEY: 1})
 
     @classmethod
     def from_terms(cls, d_max: int, b_max: int, *,
                    terms: Iterable[tuple[Key, Fraction]] = (), **aux) -> "TruncatedSeries":
         acc: dict[Key, Fraction] = {}
         for key, val in terms:
-            acc[key] = acc.get(key, _ZERO) + Fraction(val)
+            acc[key] = acc.get(key, 0) + _exact(val)
         return cls(d_max, b_max, **aux, coeffs=acc)
 
     def _caps(self) -> tuple:
         return (self.d_max, self.b_max, self.z_min, self.z_max, self.s_max)
 
-    def _same_caps(self, coeffs: dict[Key, Fraction]) -> "TruncatedSeries":
+    def _same_caps(self, nums: dict[Key, int], den: int) -> "TruncatedSeries":
+        """A series with these caps holding nums / den, reduced to lowest terms."""
         out = TruncatedSeries(self.d_max, self.b_max,
                               z_min=self.z_min, z_max=self.z_max, s_max=self.s_max)
-        out._coeffs = {k: v for k, v in coeffs.items() if v != 0}
+        out._nums, out._den = _reduced(nums, den)
         return out
 
     def _fits(self, key: Key) -> bool:
@@ -150,41 +165,40 @@ class TruncatedSeries:
             z_max=self.z_max if z_max is None else z_max,
             s_max=self.s_max if s_max is None else s_max,
         )
-        out._coeffs = {k: v for k, v in self._coeffs.items() if out._fits(k)}
-        return out
+        return out._same_caps({k: x for k, x in self._nums.items() if out._fits(k)}, self._den)
 
     # -- inspection ----------------------------------------------------------
 
     def coefficient(self, key: Key) -> Fraction:
-        return self._coeffs.get(key, _ZERO)
+        return Fraction(self._nums.get(key, 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return self._coeffs.get(ZERO_KEY, _ZERO)
+        return self.coefficient(ZERO_KEY)
 
     def terms(self) -> list[tuple[Key, Fraction]]:
         """All nonzero terms in deterministic key order."""
-        return sorted(self._coeffs.items())
+        return [(k, Fraction(x, self._den)) for k, x in sorted(self._nums.items())]
 
     def keys(self) -> Iterator[Key]:
-        return iter(self._coeffs)
+        return iter(self._nums)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     def first_key(self) -> Key | None:
         """Smallest nonzero monomial key, or None for the zero series."""
-        return min(self._coeffs) if self._coeffs else None
+        return min(self._nums) if self._nums else None
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return len(self._nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self._caps() == other._caps() and self._coeffs == other._coeffs
+        return (self._caps(), self._den, self._nums) == (other._caps(), other._den, other._nums)
 
     def __repr__(self) -> str:
-        n = len(self._coeffs)
+        n = len(self._nums)
         head = ", ".join(f"{k}: {v}" for k, v in self.terms()[:4])
         more = ", ..." if n > 4 else ""
         return f"TruncatedSeries(orders={self._caps()}, {n} terms: {head}{more})"
@@ -202,24 +216,25 @@ class TruncatedSeries:
 
     def __add__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
-            acc = dict(self._coeffs)
-            acc[ZERO_KEY] = acc.get(ZERO_KEY, _ZERO) + Fraction(other)
-            return self._same_caps(acc)
+            c = Fraction(other)
+            other = self._same_caps({ZERO_KEY: c.numerator}, c.denominator)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        acc = dict(self._coeffs)
-        for key, val in other._coeffs.items():
-            acc[key] = acc.get(key, _ZERO) + val
-        return self._same_caps(acc)
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        acc = {k: x * fa for k, x in self._nums.items()}
+        for key, x in other._nums.items():
+            acc[key] = acc.get(key, 0) + x * fb
+        return self._same_caps(acc, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return self._same_caps({k: -v for k, v in self._coeffs.items()})
+        return self._same_caps({k: -x for k, x in self._nums.items()}, self._den)
 
     def __sub__(self, other) -> "TruncatedSeries":
-        return self + (-other if isinstance(other, TruncatedSeries) else -Fraction(other))
+        return self + (-other)
 
     def __rsub__(self, other) -> "TruncatedSeries":
         return (-self) + other
@@ -227,13 +242,15 @@ class TruncatedSeries:
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            if c == 0:
-                return self._same_caps({})
-            return self._same_caps({k: v * c for k, v in self._coeffs.items()})
+            return self._same_caps({k: x * c.numerator for k, x in self._nums.items()},
+                                   self._den * c.denominator)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        return self._same_caps(_product(self._coeffs, other._coeffs, self))
+        acc: dict = {}
+        if self._nums and other._nums:
+            _mul_groups(acc, _grouped(self._nums), _grouped(other._nums), self._caps(), {})
+        return self._same_caps(dict(_flat(acc)), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -248,25 +265,23 @@ class TruncatedSeries:
         """
         if self.constant_term() != 0:
             raise ValueError("exp requires zero constant term")
-        nums, den = self._graded_parts("exp")
-        parts = {g: _grouped(p) for g, p in nums.items()}
-        merged: dict = {}
+        parts = {g: _grouped(p) for g, p in self._graded_parts("exp").items()}
+        caps, merged = self._caps(), {}
         # grade -> (grouped numerators, their common denominator)
         powers: dict[int, tuple[Groups, int]] = {0: (_grouped({ZERO_KEY: 1}), 1)}
-        total: dict[Key, Fraction] = {ZERO_KEY: _ONE}
+        pieces = [({ZERO_KEY: 1}, 1)]
         for g in range(1, self._max_grade() + 1):
             hs = [h for h in parts if h <= g and g - h in powers]
             m = lcm(*(powers[g - h][1] for h in hs))
             acc: dict = {}
             for h in hs:
                 prev, prev_den = powers[g - h]
-                _mul_groups(acc, _scaled(parts[h], h * (m // prev_den)), prev, self, merged)
-            part = {k: Fraction(x, g * m * den) for k, x in _flat(acc)}
+                _mul_groups(acc, _scaled(parts[h], h * (m // prev_den)), prev, caps, merged)
+            part, part_den = _reduced(dict(_flat(acc)), g * m * self._den)
             if part:
-                total.update(part)
-                part_nums, part_den = _numerators(part)
-                powers[g] = (_grouped(part_nums), part_den)
-        return self._same_caps(total)
+                pieces.append((part, part_den))
+                powers[g] = (_grouped(part), part_den)
+        return self._same_caps(*_joined(pieces))
 
     def log(self) -> "TruncatedSeries":
         """Logarithm of a series with constant term one.
@@ -276,40 +291,38 @@ class TruncatedSeries:
         """
         if self.constant_term() != 1:
             raise ValueError("log requires constant term 1")
-        nums, den = self._graded_parts("log")
+        nums = self._graded_parts("log")
         parts = {g: _grouped(p) for g, p in nums.items()}
-        merged: dict = {}
+        caps, merged = self._caps(), {}
         logs: dict[int, tuple[Groups, int]] = {}
-        total: dict[Key, Fraction] = {}
+        pieces = []
         for g in range(1, self._max_grade() + 1):
             hs = [h for h in logs if g - h in parts]
             m = lcm(*(logs[h][1] for h in hs))
             acc: dict = {}
             for h in hs:
                 lh, lh_den = logs[h]
-                _mul_groups(acc, _scaled(lh, h * (m // lh_den)), parts[g - h], self, merged)
+                _mul_groups(acc, _scaled(lh, h * (m // lh_den)), parts[g - h], caps, merged)
             scale = g * m
             numer = {k: x * scale for k, x in nums.get(g, {}).items()}
             for k, x in _flat(acc):
                 numer[k] = numer.get(k, 0) - x
-            part = {k: Fraction(x, scale * den) for k, x in numer.items() if x}
+            part, part_den = _reduced(numer, scale * self._den)
             if part:
-                total.update(part)
-                part_nums, part_den = _numerators(part)
-                logs[g] = (_grouped(part_nums), part_den)
-        return self._same_caps(total)
+                pieces.append((part, part_den))
+                logs[g] = (_grouped(part), part_den)
+        return self._same_caps(*_joined(pieces))
 
-    def _graded_parts(self, opname: str) -> tuple[dict[int, dict[Key, int]], int]:
-        """Numerators of the nonconstant terms over one common denominator, by grade."""
-        nums, den = _numerators(self._coeffs)
+    def _graded_parts(self, opname: str) -> dict[int, dict[Key, int]]:
+        """Numerators of the nonconstant terms, by grade."""
         parts: dict[int, dict[Key, int]] = defaultdict(dict)
-        for key, x in nums.items():
+        for key, x in self._nums.items():
             g = _grade(key)
             if g == 0 and key != ZERO_KEY:
                 raise ValueError(f"{opname} does not support bare z monomials")
             if key != ZERO_KEY:
                 parts[g][key] = x
-        return parts, den
+        return parts
 
     def _max_grade(self) -> int:
         return self.d_max + self.b_max + self.s_max
@@ -320,9 +333,9 @@ class TruncatedSeries:
         """Formal partial derivative in p_k (or p'_k when ``prime``)."""
         if k < 1:
             raise ValueError("variable index must be at least 1")
-        acc: dict[Key, Fraction] = {}
+        acc: dict[Key, int] = {}
         idx = 3 if prime else 2
-        for key, val in self._coeffs.items():
+        for key, x in self._nums.items():
             pattern = key[idx]
             m = pattern.count(k)
             if m == 0:
@@ -330,8 +343,8 @@ class TruncatedSeries:
             reduced = list(pattern)
             reduced.remove(k)
             newkey = key[:idx] + (tuple(reduced),) + key[idx + 1:]
-            acc[newkey] = acc.get(newkey, _ZERO) + val * m
-        return self._same_caps(acc)
+            acc[newkey] = acc.get(newkey, 0) + x * m
+        return self._same_caps(acc, self._den)
 
     def scale_q_exp(self, n: int) -> "TruncatedSeries":
         """Substitute q -> e^{n beta} q.
@@ -339,40 +352,35 @@ class TruncatedSeries:
         A term of q-degree d and beta-degree b spawns beta-degrees b + j with
         coefficient multiplied by (n d)^j / j!.  Only lower beta orders feed
         each output order, so exactness is preserved across the whole window.
-        Expanded in integers over the common denominator times b_max!.
         """
-        nums, den = _numerators(self._coeffs)
-        b_max = self.b_max
-        weights = [factorial(b_max) // factorial(j) for j in range(b_max + 1)]
+        return self._times_exp_beta(n, 0)
+
+    def mul_exp_beta(self, c: Fraction) -> "TruncatedSeries":
+        """Multiply by e^{c beta}, expanded through the beta cap."""
+        return self._times_exp_beta(0, _exact(c))
+
+    def _times_exp_beta(self, n: int, c: int | Fraction) -> "TruncatedSeries":
+        """Multiply each term of q-degree d by e^{(n d + c) beta}.
+
+        With c = u/v and B = b_max, the factor (n d + c)^j / j! is
+        (n d v + u)^j (B!/j!) v^(B-j) over B! v^B, so the expansion runs in
+        integers over the denominator times B! v^B.
+        """
+        if not n and not c:
+            return self
+        b_max, u, v = self.b_max, c.numerator, c.denominator
+        weights = [factorial(b_max) // factorial(j) * v ** (b_max - j) for j in range(b_max + 1)]
         acc: dict = {}
-        for (dq, b, mu, nu, z, s), x in nums.items():
+        for (dq, b, mu, nu, z, s), x in self._nums.items():
             gkey = (dq, mu, nu, z, s)
             vec = acc.get(gkey)
             if vec is None:
                 vec = acc[gkey] = [0] * (b_max + 1)
-            base = n * dq
+            base = n * dq * v + u
             for j in range(b_max - b + 1 if base else 1):
                 vec[b + j] += x * weights[j]
                 x *= base
-        den *= weights[0]
-        return self._same_caps({k: Fraction(x, den) for k, x in _flat(acc)})
-
-    def mul_exp_beta(self, c: Fraction) -> "TruncatedSeries":
-        """Multiply by e^{c beta}, expanded through the beta cap."""
-        c = Fraction(c)
-        if c == 0:
-            return self
-        acc: dict[Key, Fraction] = {}
-        for key, val in self._coeffs.items():
-            b = key[1]
-            power = _ONE
-            for j in range(self.b_max - b + 1):
-                if j:
-                    power *= c
-                term = val * power / factorial(j)
-                newkey = (key[0], b + j) + key[2:]
-                acc[newkey] = acc.get(newkey, _ZERO) + term
-        return self._same_caps(acc)
+        return self._same_caps(dict(_flat(acc)), self._den * weights[0])
 
     def mul_q_power(self, j: int) -> "TruncatedSeries":
         """Multiply by q^j for j >= 0; terms pushed past the cap are dropped."""
@@ -380,48 +388,43 @@ class TruncatedSeries:
             raise ValueError("negative q powers are not in the ring")
         if j == 0:
             return self
-        acc = {}
-        for key, val in self._coeffs.items():
-            if key[0] + j <= self.d_max:
-                acc[(key[0] + j,) + key[1:]] = val
-        return self._same_caps(acc)
+        return self._same_caps({(key[0] + j,) + key[1:]: x for key, x in self._nums.items()
+                                if key[0] + j <= self.d_max}, self._den)
 
     def mul_aux_monomial(self, coeff: Fraction, dz: int = 0, ds: int = 0) -> "TruncatedSeries":
         """Multiply by coeff * z^dz * s^ds, pruning at the aux windows."""
-        coeff = Fraction(coeff)
-        acc: dict[Key, Fraction] = {}
-        for key, val in self._coeffs.items():
+        coeff = _exact(coeff)
+        acc: dict[Key, int] = {}
+        for key, x in self._nums.items():
             z, s = key[4] + dz, key[5] + ds
             if self.z_min <= z <= self.z_max and 0 <= s <= self.s_max:
-                acc[key[:4] + (z, s)] = val * coeff
-        return self._same_caps(acc)
+                acc[key[:4] + (z, s)] = x * coeff.numerator
+        return self._same_caps(acc, self._den * coeff.denominator)
 
     def shift_p(self, shifts: Iterable[tuple[int, bool, Iterable[ShiftTerm]]]) -> "TruncatedSeries":
         """Substitute p_k -> p_k + delta_k for the listed variables.
 
         Each entry of ``shifts`` is (k, prime, terms) with ``terms`` the
-        summands of delta_k.  Terms must be at most first order in the
-        perturbation symbol.  The multinomial expansion is exact; monomials
-        leaving the aux windows are dropped (the windows are sized by the
-        caller so that dropped terms can never feed a retained coefficient).
+        summands of delta_k; each is at most first order in the perturbation
+        symbol and has an integer coefficient, so the multinomial expansion
+        runs in integers.  Monomials leaving the aux windows are dropped (the
+        windows are sized by the caller so that dropped terms can never feed a
+        retained coefficient).
         """
         smap: dict[tuple[bool, int], tuple[ShiftTerm, ...]] = {}
         for k, prime, terms in shifts:
             terms = tuple(terms)
-            for t in terms:
-                if t.s_degree not in (0, 1):
-                    raise ValueError("unsupported shift order")
             if (bool(prime), int(k)) in smap:
                 raise ValueError(f"duplicate shift for variable ({k}, prime={prime})")
             smap[(bool(prime), int(k))] = terms
         if not smap:
             return self
 
-        acc: dict[Key, Fraction] = {}
-        for key, val in self._coeffs.items():
+        acc: dict[Key, int] = {}
+        for key, x in self._nums.items():
             dq, b, mu, nu, z0, s0 = key
             # options: (coeff multiplier, kept mu parts, kept nu parts, dz, ds)
-            options = [(val, [], [], 0, 0)]
+            options = [(x, [], [], 0, 0)]
             for prime, pattern in ((False, mu), (True, nu)):
                 counts: dict[int, int] = {}
                 for p in pattern:
@@ -447,51 +450,36 @@ class TruncatedSeries:
                     continue
                 newkey = (dq, b, tuple(sorted(km, reverse=True)),
                           tuple(sorted(kn, reverse=True)), z, s)
-                acc[newkey] = acc.get(newkey, _ZERO) + c
-        return self._same_caps(acc)
+                acc[newkey] = acc.get(newkey, 0) + c
+        return self._same_caps(acc, self._den)
 
     # -- extraction and restriction -------------------------------------------
 
     def extract_z(self, t: int) -> "TruncatedSeries":
         """Coefficient of z^t, as a series with the z window collapsed."""
         out = TruncatedSeries(self.d_max, self.b_max, s_max=self.s_max)
-        out._coeffs = {
-            key[:4] + (0, key[5]): val
-            for key, val in self._coeffs.items() if key[4] == t
-        }
-        return out
+        return out._same_caps({key[:4] + (0, key[5]): x
+                               for key, x in self._nums.items() if key[4] == t}, self._den)
 
     def extract_s(self, deg: int) -> "TruncatedSeries":
         """Coefficient of s^deg, as a series without the perturbation symbol."""
         out = TruncatedSeries(self.d_max, self.b_max, z_min=self.z_min, z_max=self.z_max)
-        out._coeffs = {
-            key[:4] + (key[4], 0): val
-            for key, val in self._coeffs.items() if key[5] == deg
-        }
-        return out
+        return out._same_caps({key[:4] + (key[4], 0): x
+                               for key, x in self._nums.items() if key[5] == deg}, self._den)
 
     def truncate_parts(self, max_part: int) -> "TruncatedSeries":
         """Set every p_k and p'_k with k > max_part to zero."""
-        acc = {
-            key: val for key, val in self._coeffs.items()
-            if all(p <= max_part for p in key[2]) and all(p <= max_part for p in key[3])
-        }
-        return self._same_caps(acc)
+        return self.filtered(lambda key: all(p <= max_part for p in key[2] + key[3]))
 
     def filtered(self, keep: Callable[[Key], bool]) -> "TruncatedSeries":
-        return self._same_caps({k: v for k, v in self._coeffs.items() if keep(k)})
+        return self._same_caps({k: x for k, x in self._nums.items() if keep(k)}, self._den)
 
     def with_coefficient(self, key: Key, value: Fraction) -> "TruncatedSeries":
         """Copy with one coefficient replaced (used by negative controls)."""
         if not self._fits(key):
             raise ValueError(f"key {key} violates truncation orders")
-        acc = dict(self._coeffs)
-        value = Fraction(value)
-        if value == 0:
-            acc.pop(key, None)
-        else:
-            acc[key] = value
-        return self._same_caps(acc)
+        change = _exact(value) - self.coefficient(key)
+        return self + self._same_caps({key: change.numerator}, change.denominator)
 
 
 def _grade(key: Key) -> int:
@@ -500,19 +488,31 @@ def _grade(key: Key) -> int:
 
 # -- integer kernels -----------------------------------------------------------
 #
-# The hot loops run on Python ints: an operand's coefficients are scaled to
-# one common denominator, and one Fraction is built per output term.  A
-# grouped operand maps q-degree to a list of (mu, rows), each row being
+# A grouped operand maps q-degree to a list of (mu, rows), each row being
 # (nu, z, s, beta-vector) with the beta-vector a list of (b, numerator) pairs
 # in increasing b.
 
 Groups = dict[int, list[tuple[tuple, list]]]
 
 
-def _numerators(coeffs: dict[Key, Fraction]) -> tuple[dict[Key, int], int]:
-    """Integer numerators over the least common denominator, and that denominator."""
-    den = lcm(*(v.denominator for v in coeffs.values()))
-    return {k: v.numerator * (den // v.denominator) for k, v in coeffs.items()}, den
+def _reduced(nums: dict[Key, int], den: int) -> tuple[dict[Key, int], int]:
+    """nums / den with the zeros dropped and the common factor cancelled."""
+    if 0 in nums.values():
+        nums = {k: x for k, x in nums.items() if x}
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {k: x // g for k, x in nums.items()}, den // g
+
+
+def _joined(pieces: list[tuple[dict[Key, int], int]]) -> tuple[dict[Key, int], int]:
+    """Disjoint numerator maps, each over its own denominator, over their lcm."""
+    den = lcm(*(d for _, d in pieces))
+    out: dict[Key, int] = {}
+    for nums, d in pieces:
+        f = den // d
+        out.update((k, x * f) for k, x in nums.items())
+    return out, den
 
 
 def _grouped(nums: dict[Key, int]) -> Groups:
@@ -536,17 +536,16 @@ def _scaled(groups: Groups, factor: int) -> Groups:
     }
 
 
-def _mul_groups(acc: dict, a: Groups, b: Groups, caps: TruncatedSeries,
-                merged: dict) -> None:
+def _mul_groups(acc: dict, a: Groups, b: Groups, caps: tuple, merged: dict) -> None:
     """Accumulate the truncated product of two grouped operands into acc.
 
-    ``acc`` maps (dq, mu, nu, z, s) to a dense integer beta-vector.  Pattern
-    merges are memoized in ``merged`` per pattern pair, so each is sorted once
-    however many beta terms the two groups carry.  Weights need no check:
-    they are at most the q-degree, which is capped.
+    ``caps`` is (d_max, b_max, z_min, z_max, s_max).  ``acc`` maps
+    (dq, mu, nu, z, s) to a dense integer beta-vector.  Pattern merges are
+    memoized in ``merged`` per pattern pair, so each is sorted once however
+    many beta terms the two groups carry.  Weights need no check: they are
+    at most the q-degree, which is capped.
     """
-    d_max, b_max = caps.d_max, caps.b_max
-    z_lo, z_hi, s_hi = caps.z_min, caps.z_max, caps.s_max
+    d_max, b_max, z_lo, z_hi, s_hi = caps
     width = b_max + 1
     for da, by_mu_a in a.items():
         for db, by_mu_b in b.items():
@@ -589,35 +588,24 @@ def _flat(acc: dict) -> Iterator[tuple[Key, int]]:
                 yield (dq, b, mu, nu, z, s), x
 
 
-def _product(a: dict[Key, Fraction], b: dict[Key, Fraction],
-             caps: TruncatedSeries) -> dict[Key, Fraction]:
-    if not a or not b:
-        return {}
-    na, den_a = _numerators(a)
-    nb, den_b = _numerators(b)
-    acc: dict = {}
-    _mul_groups(acc, _grouped(na), _grouped(nb), caps, {})
-    den = den_a * den_b
-    return {k: Fraction(x, den) for k, x in _flat(acc)}
-
-
 def _power_expansions(e: int, terms: tuple[ShiftTerm, ...]):
     """Expand (p + t_1 + ... + t_r)^e into (kept power, factor, dz, ds) data.
 
     Yields one entry per choice of exponents (a_1, ..., a_r) with sum <= e:
     the retained variable power a_0 = e - sum(a_i), the multinomial factor
-    times prod coeff_i^{a_i}, and the accumulated z and s exponents.
+    times prod coeff_i^{a_i} (an integer), and the accumulated z and s
+    exponents.
     """
-    def rec(idx: int, rem: int, factor: Fraction, dz: int, ds: int):
+    def rec(idx: int, rem: int, factor: int, dz: int, ds: int):
         if idx == len(terms):
             yield (rem, factor, dz, ds)
             return
         t = terms[idx]
-        cpow = _ONE
+        cpow = 1
         for a in range(rem + 1):
             if a:
-                cpow *= Fraction(t.coeff)
+                cpow *= t.coeff
             yield from rec(idx + 1, rem - a, factor * comb(rem, a) * cpow,
                            dz + a * t.z_power, ds + a * t.s_degree)
 
-    yield from rec(0, e, _ONE, 0, 0)
+    yield from rec(0, e, 1, 0, 0)

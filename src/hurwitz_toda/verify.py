@@ -113,12 +113,15 @@ def verify_toda(d_max: int, b_max: int, *,
 def verify_tau_n(n: int, d_max: int, b_max: int, *,
                  corruption: Key | None = None,
                  cache: CharacterCache | None = None) -> VerificationReport:
-    """Check the charge-shift map tau -> e^{n(4n^2-1) beta/24} tau(e^{n beta} q).
+    """Check the lattice equation at site n of T_n = e^{n(4n^2-1) beta/24} tau(e^{n beta} q).
 
-    The q^{n^2/2} prefactor of the shifted series is a formal marker outside
-    the ring, so the series-level content is that the map composes: applying
-    the map with n and then with -n returns the series unchanged, and n = 0
-    is the identity.  Both hold exactly on the whole truncation window.
+    T_n is the charge-n tau function without its q^{n^2/2} prefactor, a
+    formal marker outside the ring.  Those prefactors cancel exactly in
+
+        T_n d2 T_n / dp1 dp'1 - (d T_n/dp1)(d T_n/dp'1) - q T_{n+1} T_{n-1},
+
+    which must vanish.  The residual adds the round trip T_n -> tau under
+    the map with -n, which must be the identity.
     """
     if abs(n) > 3:
         raise ValueError("charge shift restricted to |n| <= 3")
@@ -127,9 +130,11 @@ def verify_tau_n(n: int, d_max: int, b_max: int, *,
     def shift(series: TruncatedSeries, k: int) -> TruncatedSeries:
         return series.scale_q_exp(k).mul_exp_beta(Fraction(k * (4 * k * k - 1), 24))
 
-    residual = shift(shift(tau, n), -n) - tau
-    if n == 0:
-        residual = residual + (shift(tau, 0) - tau)
+    t_n = shift(tau, n)
+    d1 = t_n.d_dp(1)
+    lattice = (t_n * d1.d_dp(1, prime=True) - d1 * t_n.d_dp(1, prime=True)
+               - (shift(tau, n + 1) * shift(tau, n - 1)).mul_q_power(1))
+    residual = shift(t_n, -n) - tau + lattice
     exponent = Fraction(n * (4 * n * n - 1), 24)
     return _report(
         "tau-n",

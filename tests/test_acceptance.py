@@ -132,7 +132,7 @@ def test_criterion_7_charge_shift_identity():
     exponent_ok = r1.notes["prefactor_beta_exponent"] == F(1, 8)
     ok = ok and exponent_ok
     report(7, ok,
-           f"round trips exact [{', '.join(details)}]; prefactor exponent "
+           f"lattice equations and round trips exact [{', '.join(details)}]; prefactor exponent "
            f"n(4n^2-1)/24 at n=1 equals 1/8: {exponent_ok}")
 
 

@@ -152,6 +152,18 @@ class TestCache:
         assert cache.misses == misses
         assert cache.hits > 0
 
+    def test_hit_builds_no_partition(self, monkeypatch):
+        cache = CharacterCache()
+        lam, mu = P((3, 2)), P((2, 2, 1))
+        chi, dim = cache.character(lam, mu), cache.dimension(lam)
+        built = []
+        init = Partition.__init__
+        monkeypatch.setattr(Partition, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        hits = cache.hits
+        assert cache.character(lam, mu) == chi and cache.dimension(lam) == dim
+        assert cache.hits == hits + 2 and built == []
+
     def test_seed_poisons_values(self):
         cache = CharacterCache()
         good = cache.character(P((2, 1)), P((1, 1, 1)))

@@ -120,6 +120,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "tau-n", "-n", "1", "--dmax", "3", "--bmax", "3")
         assert code == 0 and "1/8" in out
 
+    @pytest.mark.parametrize("n", ["-1", "0", "2"])
+    def test_tau_n_corrupt_test_exits_one(self, capsys, n):
+        code, out, _ = run(capsys, "verify", "tau-n", "-n", n, "--dmax", "4", "--bmax", "4",
+                           "--corrupt-test")
+        assert code == 1 and out.startswith("FAIL")
+
     def test_specialized(self, capsys):
         code, out, _ = run(capsys, "verify", "toda-specialized", "--dmax", "4")
         assert code == 0 and out.startswith("PASS")

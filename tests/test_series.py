@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -68,6 +68,39 @@ class TestConstruction:
             # the same patterns at a q-degree that carries them are accepted
             ok = (max(sum(key[2]), sum(key[3])),) + key[1:]
             assert TruncatedSeries(5, 2, z_max=1, coeffs={ok: F(1)}).coefficient(ok) == 1
+
+    def test_floats_refused(self):
+        key = make_key(dq=1, mu=(1,), nu=(1,))
+        s = TruncatedSeries.one(1, 1, z_min=-1, s_max=1)
+        entry_points = [
+            lambda: TruncatedSeries(1, 1, coeffs={ZERO_KEY: 0.1}),
+            lambda: TruncatedSeries.from_terms(1, 1, terms=[(ZERO_KEY, 0.5)]),
+            lambda: s.with_coefficient(key, 0.5),
+            lambda: s.mul_exp_beta(0.1),
+            lambda: s.mul_aux_monomial(0.5, dz=-1),
+            lambda: ShiftTerm(1.0, z_power=1),
+            lambda: s + 0.5, lambda: 0.5 + s,
+            lambda: s - 0.5, lambda: 0.5 - s,
+            lambda: s * 0.5, lambda: 0.5 * s,
+        ]
+        for call in entry_points:
+            with pytest.raises(TypeError):
+                call()
+
+    def test_lowest_terms(self):
+        # nonzero numerators over one positive denominator sharing no factor
+        rng = random.Random(11)
+        tau = build_tau(4, 3)
+        results = [tau, tau.log(), tau.scale_q_exp(2), tau.mul_exp_beta(F(5, 6)),
+                   tau.d_dp(1), tau * F(6, 5), tau - tau, tau.with_coefficient(ZERO_KEY, F(1, 3))]
+        for _ in range(20):
+            a, b = random_series(rng), random_series(rng)
+            results += [a * b, a + b, a - a * 2]
+        for r in results:
+            assert r._den > 0 and all(r._nums.values())
+            assert gcd(r._den, *r._nums.values()) == 1
+        x = series(2, 2, [(make_key(dq=1, mu=(1,), nu=(1,)), F(2, 3))])
+        assert (x * 3) * F(1, 3) == x and (x * 3)._den == 1
 
     def test_make_key_canonicalizes(self):
         assert make_key(mu=(1, 3, 1)) == make_key(mu=(3, 1, 1))
@@ -333,6 +366,12 @@ class TestScaleQExp:
             b = random_series(rng)
             assert (a * b).scale_q_exp(1) == a.scale_q_exp(1) * b.scale_q_exp(1)
 
+    def test_mul_exp_beta_is_product_with_exponential(self):
+        tau = build_tau(3, 4)
+        c = F(-5, 12)
+        exponential = series(3, 4, [(make_key(b=j), c ** j / factorial(j)) for j in range(5)])
+        assert tau.mul_exp_beta(c) == tau * exponential
+
     def test_mul_exp_beta_inverse(self):
         tau = build_tau(3, 4)
         assert tau.mul_exp_beta(F(1, 8)).mul_exp_beta(F(-1, 8)) == tau
@@ -371,6 +410,11 @@ class TestShifts:
         s = TruncatedSeries.one(1, 1)
         with pytest.raises(ValueError, match="unsupported shift order"):
             s.shift_p([(1, False, [ShiftTerm(F(1), s_degree=2)])])
+
+    def test_integer_coefficients_only(self):
+        assert ShiftTerm(F(-2, 1)).coeff == -2 and type(ShiftTerm(F(2)).coeff) is int
+        with pytest.raises(ValueError, match="not an integer"):
+            ShiftTerm(F(1, 2), z_power=1)
 
     def test_duplicate_shift_rejected(self):
         s = TruncatedSeries.one(1, 1)

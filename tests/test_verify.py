@@ -56,6 +56,14 @@ class TestTauN:
         report = verify_tau_n(n, 4, 5)
         assert report.passed
 
+    @pytest.mark.parametrize("n", [-1, 0, 2])
+    @pytest.mark.parametrize("key", CORRUPTIONS)
+    def test_corruption_fails(self, n, key):
+        # the round trip alone is the identity on any series; the lattice
+        # equation at site n is what sees tau's content
+        report = verify_tau_n(n, 4, 4, corruption=key)
+        assert not report.passed and report.first_failure is not None
+
     def test_identity_at_zero(self):
         report = verify_tau_n(0, 3, 3)
         assert report.passed
@@ -158,8 +166,8 @@ class TestWeightInvariant:
         seen = []
         same_caps = TruncatedSeries._same_caps
 
-        def checked(self, coeffs):
-            out = same_caps(self, coeffs)
+        def checked(self, *args):
+            out = same_caps(self, *args)
             bad = [k for k in out.keys() if sum(k[2]) > k[0] or sum(k[3]) > k[0]]
             assert not bad, bad[:3]
             seen.append(len(out))
