@@ -70,8 +70,11 @@ class ShiftTerm:
     """One summand of a variable shift p_k -> p_k + sum(terms).
 
     Each term is coeff * z^z_power * s^s_degree with an integer coeff (a
-    non-integer is refused) and s_degree at most one; higher orders in the
-    perturbation symbol are out of scope.
+    non-integer is refused), z_power >= 0 and s_degree at most one; higher
+    orders in the perturbation symbol are out of scope.  A shift raises the
+    z and s exponents only, which is what lets ``shift_p`` stop expanding
+    at the top of the windows; negative z powers belong in
+    ``mul_aux_monomial``.
     """
 
     coeff: int
@@ -84,6 +87,8 @@ class ShiftTerm:
             raise ValueError(f"shift coefficient {coeff} is not an integer")
         if self.s_degree not in (0, 1):
             raise ValueError("unsupported shift order")
+        if self.z_power < 0:
+            raise ValueError(f"shift z power {self.z_power} is negative")
         object.__setattr__(self, "coeff", coeff.numerator)
 
 
@@ -406,10 +411,13 @@ class TruncatedSeries:
 
         Each entry of ``shifts`` is (k, prime, terms) with ``terms`` the
         summands of delta_k; each is at most first order in the perturbation
-        symbol and has an integer coefficient, so the multinomial expansion
-        runs in integers.  Monomials leaving the aux windows are dropped (the
-        windows are sized by the caller so that dropped terms can never feed a
-        retained coefficient).
+        symbol, has a nonnegative z power and an integer coefficient, so the
+        multinomial expansion runs in integers.  The image of a key depends
+        only on its tail (mu, nu, z, s), so each distinct tail is expanded
+        once per call.  Shifts raise z and s only, so an expansion stops as
+        soon as it leaves the room below z_max and s_max (the windows are
+        sized by the caller so that dropped terms can never feed a retained
+        coefficient).
         """
         smap: dict[tuple[bool, int], tuple[ShiftTerm, ...]] = {}
         for k, prime, terms in shifts:
@@ -420,37 +428,34 @@ class TruncatedSeries:
         if not smap:
             return self
 
+        def pattern_images(pattern: tuple, prime: bool, z_room: int, s_room: int) -> list:
+            # (kept parts, dz, ds, factor); distinct parts come in decreasing
+            # order, so the kept parts are already a canonical pattern
+            options = [((), 0, 0, 1)]
+            for k in dict.fromkeys(pattern):
+                power = _power_expansions(pattern.count(k), smap.get((prime, k), ()),
+                                          z_room, s_room)
+                options = [(kept + (k,) * a0, dz + tdz, ds + tds, f * g)
+                           for kept, dz, ds, f in options
+                           for a0, g, tdz, tds in power
+                           if dz + tdz <= z_room and ds + tds <= s_room]
+            return options
+
+        images: dict[tuple, list] = {}
         acc: dict[Key, int] = {}
         for key, x in self._nums.items():
-            dq, b, mu, nu, z0, s0 = key
-            # options: (coeff multiplier, kept mu parts, kept nu parts, dz, ds)
-            options = [(x, [], [], 0, 0)]
-            for prime, pattern in ((False, mu), (True, nu)):
-                counts: dict[int, int] = {}
-                for p in pattern:
-                    counts[p] = counts.get(p, 0) + 1
-                for k, e in counts.items():
-                    terms = smap.get((prime, k))
-                    if terms is None:
-                        for opt in options:
-                            (opt[2] if prime else opt[1]).extend([k] * e)
-                        continue
-                    newopts = []
-                    for c, km, kn, dz, ds in options:
-                        for a0, factor, tdz, tds in _power_expansions(e, terms):
-                            nm = km if prime else km + [k] * a0
-                            nn = kn + [k] * a0 if prime else kn
-                            newopts.append((c * factor, list(nm), list(nn), dz + tdz, ds + tds))
-                    options = newopts
-            for c, km, kn, dz, ds in options:
-                if c == 0:
-                    continue
-                z, s = z0 + dz, s0 + ds
-                if not (self.z_min <= z <= self.z_max and s <= self.s_max):
-                    continue
-                newkey = (dq, b, tuple(sorted(km, reverse=True)),
-                          tuple(sorted(kn, reverse=True)), z, s)
-                acc[newkey] = acc.get(newkey, 0) + c
+            tail = key[2:]
+            image = images.get(tail)
+            if image is None:
+                mu, nu, z, s = tail
+                z_room, s_room = self.z_max - z, self.s_max - s
+                image = images[tail] = [
+                    ((mu2, nu2, z + dz1 + dz2, s + ds1 + ds2), f1 * f2)
+                    for mu2, dz1, ds1, f1 in pattern_images(mu, False, z_room, s_room)
+                    for nu2, dz2, ds2, f2 in pattern_images(nu, True, z_room - dz1, s_room - ds1)]
+            for new_tail, f in image:
+                new_key = key[:2] + new_tail
+                acc[new_key] = acc.get(new_key, 0) + x * f
         return self._same_caps(acc, self._den)
 
     # -- extraction and restriction -------------------------------------------
@@ -588,24 +593,25 @@ def _flat(acc: dict) -> Iterator[tuple[Key, int]]:
                 yield (dq, b, mu, nu, z, s), x
 
 
-def _power_expansions(e: int, terms: tuple[ShiftTerm, ...]):
-    """Expand (p + t_1 + ... + t_r)^e into (kept power, factor, dz, ds) data.
+def _power_expansions(e: int, terms: tuple[ShiftTerm, ...], z_room: int, s_room: int) -> list:
+    """Expand (p + t_1 + ... + t_r)^e into (kept power, factor, dz, ds) entries.
 
-    Yields one entry per choice of exponents (a_1, ..., a_r) with sum <= e:
-    the retained variable power a_0 = e - sum(a_i), the multinomial factor
-    times prod coeff_i^{a_i} (an integer), and the accumulated z and s
-    exponents.
+    One entry per choice of exponents (a_1, ..., a_r) with sum <= e,
+    dz <= z_room and ds <= s_room: the retained power a_0 = e - sum(a_i),
+    the multinomial factor times prod coeff_i^{a_i} (an integer), and the
+    accumulated z and s exponents.  Term exponents are nonnegative, so a
+    choice past the room is never extended.
     """
-    def rec(idx: int, rem: int, factor: int, dz: int, ds: int):
-        if idx == len(terms):
-            yield (rem, factor, dz, ds)
-            return
-        t = terms[idx]
-        cpow = 1
-        for a in range(rem + 1):
-            if a:
+    out = [(e, 1, 0, 0)]
+    for t in terms:
+        grown = []
+        for rem, factor, dz, ds in out:
+            cpow = 1
+            for a in range(rem + 1):
+                tdz, tds = dz + a * t.z_power, ds + a * t.s_degree
+                if tdz > z_room or tds > s_room:
+                    break
+                grown.append((rem - a, factor * comb(rem, a) * cpow, tdz, tds))
                 cpow *= t.coeff
-            yield from rec(idx + 1, rem - a, factor * comb(rem, a) * cpow,
-                           dz + a * t.z_power, ds + a * t.s_degree)
-
-    yield from rec(0, e, 1, 0, 0)
+        out = grown
+    return out

@@ -125,6 +125,8 @@ def verify_tau_n(n: int, d_max: int, b_max: int, *,
     """
     if abs(n) > 3:
         raise ValueError("charge shift restricted to |n| <= 3")
+    if d_max < 1:
+        raise ValueError("d_max must be at least 1")
     tau = _corrupted(build_tau(d_max, b_max, cache=cache), corruption)
 
     def shift(series: TruncatedSeries, k: int) -> TruncatedSeries:
@@ -183,6 +185,8 @@ def verify_hirota(m: int, n_s: int, d_max: int, b_max: int, *,
         raise ValueError("restricted Hirota scope")
     if side not in ("p", "pprime"):
         raise ValueError("side must be 'p' or 'pprime'")
+    if d_max < 1:
+        raise ValueError("d_max must be at least 1")
     tau = _corrupted(build_tau(d_max, b_max, cache=cache), corruption)
     primed = side == "pprime"
 

@@ -126,6 +126,18 @@ class TestVerify:
                            "--corrupt-test")
         assert code == 1 and out.startswith("FAIL")
 
+    @pytest.mark.parametrize("argv", [
+        ["toda", "--dmax", "0"],
+        ["hirota", "--dmax", "0"],
+        ["hirota", "--dmax", "0", "--bmax", "0", "--corrupt-test"],
+        ["tau-n", "-n", "1", "--dmax", "0"],
+    ])
+    def test_empty_window_refused(self, capsys, argv):
+        # a window of degree 0 holds no identity, so it cannot pass
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: d_max must be at least 1\n"
+
     def test_specialized(self, capsys):
         code, out, _ = run(capsys, "verify", "toda-specialized", "--dmax", "4")
         assert code == 0 and out.startswith("PASS")

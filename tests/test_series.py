@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -12,6 +12,7 @@ from hurwitz_toda.series import (
     ZERO_KEY,
     make_key,
 )
+from hurwitz_toda.verify import verify_hirota
 
 F = Fraction
 
@@ -416,6 +417,12 @@ class TestShifts:
         with pytest.raises(ValueError, match="not an integer"):
             ShiftTerm(F(1, 2), z_power=1)
 
+    def test_negative_z_power_rejected(self):
+        # expansions stop at the top of the z window, which needs z powers >= 0
+        assert ShiftTerm(1, z_power=0).z_power == 0
+        with pytest.raises(ValueError, match="z power -1 is negative"):
+            ShiftTerm(1, z_power=-1)
+
     def test_duplicate_shift_rejected(self):
         s = TruncatedSeries.one(1, 1)
         with pytest.raises(ValueError, match="duplicate"):
@@ -423,6 +430,131 @@ class TestShifts:
                 (1, False, [ShiftTerm(F(1))]),
                 (1, False, [ShiftTerm(F(2))]),
             ])
+
+
+def reference_power_expansions(e, terms):
+    """(p + t_1 + ... + t_r)^e as (kept power, factor, dz, ds), every term formed."""
+    def rec(idx, rem, factor, dz, ds):
+        if idx == len(terms):
+            yield (rem, factor, dz, ds)
+            return
+        t = terms[idx]
+        cpow = 1
+        for a in range(rem + 1):
+            if a:
+                cpow *= t.coeff
+            yield from rec(idx + 1, rem - a, factor * comb(rem, a) * cpow,
+                           dz + a * t.z_power, ds + a * t.s_degree)
+
+    yield from rec(0, e, 1, 0, 0)
+
+
+def shift_reference(x, shifts):
+    """``shift_p`` expanding every key on its own and every power in full.
+
+    The windows are applied only to the finished monomials; nothing is
+    shared between keys and nothing is pruned early.
+    """
+    smap = {}
+    for k, prime, terms in shifts:
+        smap[(bool(prime), int(k))] = tuple(terms)
+    acc = {}
+    for key, c0 in x.terms():
+        dq, b, mu, nu, z0, s0 = key
+        # options: (coeff multiplier, kept mu parts, kept nu parts, dz, ds)
+        options = [(c0, [], [], 0, 0)]
+        for prime, pattern in ((False, mu), (True, nu)):
+            counts = {}
+            for p in pattern:
+                counts[p] = counts.get(p, 0) + 1
+            for k, e in counts.items():
+                terms = smap.get((prime, k))
+                if terms is None:
+                    for opt in options:
+                        (opt[2] if prime else opt[1]).extend([k] * e)
+                    continue
+                newopts = []
+                for c, km, kn, dz, ds in options:
+                    for a0, factor, tdz, tds in reference_power_expansions(e, terms):
+                        nm = km if prime else km + [k] * a0
+                        nn = kn + [k] * a0 if prime else kn
+                        newopts.append((c * factor, list(nm), list(nn), dz + tdz, ds + tds))
+                options = newopts
+        for c, km, kn, dz, ds in options:
+            if c == 0:
+                continue
+            z, s = z0 + dz, s0 + ds
+            if not (x.z_min <= z <= x.z_max and s <= x.s_max):
+                continue
+            newkey = (dq, b, tuple(sorted(km, reverse=True)),
+                      tuple(sorted(kn, reverse=True)), z, s)
+            acc[newkey] = acc.get(newkey, 0) + c
+    return TruncatedSeries(x.d_max, x.b_max, z_min=x.z_min, z_max=x.z_max,
+                           s_max=x.s_max, coeffs=acc)
+
+
+def random_shifts(rng, max_part):
+    """Shifts of a few variables, each by several terms with small coefficients."""
+    variables = rng.sample([(k, prime) for k in range(1, max_part + 1)
+                            for prime in (False, True)], rng.randint(1, 4))
+    return [(k, prime, [ShiftTerm(rng.choice([0, 1, -1, 2, -2]), z_power=rng.randint(0, 2),
+                                  s_degree=rng.randint(0, 1))
+                        for _ in range(rng.randint(1, 3))])
+            for k, prime in variables]
+
+
+class TestShiftReference:
+    """``shift_p`` against the full expansion of every key."""
+
+    def check(self, x, shifts):
+        got = x.shift_p(shifts)
+        assert got.terms() == shift_reference(x, shifts).terms()
+        return got
+
+    def test_random_with_aux_symbols(self):
+        rng = random.Random(4242)
+        for _ in range(60):
+            x = random_aux_series(rng, d_max=4, b_max=2, n_terms=10,
+                                  z_min=-2, z_max=rng.randint(0, 3), s_max=1)
+            assert any(key[4] or key[5] for key in x.keys())
+            self.check(x, random_shifts(rng, 4))
+
+    def test_several_terms_per_variable(self):
+        x = series(4, 1, [(make_key(dq=4, mu=(1, 1, 1), nu=(2, 1), z=1), F(1, 3)),
+                          (make_key(dq=3, b=1, mu=(2, 1), nu=(1, 1, 1)), F(-2)),
+                          (make_key(dq=4, mu=(1, 1, 1, 1), s=1), F(5, 7))],
+                   z_min=-1, z_max=4, s_max=1)
+        terms = [ShiftTerm(c, z_power=zp, s_degree=sd)
+                 for c in (0, 1, -1, 2, -2) for zp in (0, 1, 3) for sd in (0, 1)]
+        for i in range(0, len(terms), 3):
+            chunk = terms[i:i + 5]
+            got = self.check(x, [(1, False, chunk), (1, True, chunk[::-1]),
+                                 (2, True, chunk[1:])])
+            assert not got.is_zero()
+
+    def test_absent_variable(self):
+        x = build_tau(3, 2).with_caps(z_max=2, s_max=1)
+        shifts = [(5, False, [ShiftTerm(1, z_power=1)]), (4, True, [ShiftTerm(-2, s_degree=1)])]
+        assert self.check(x, shifts) == x
+
+    @pytest.mark.parametrize("m", [-1, 0, 1])
+    @pytest.mark.parametrize("n_s", [1, 2, 3])
+    @pytest.mark.parametrize("side", ["p", "pprime"])
+    def test_hirota_factors(self, monkeypatch, m, n_s, side):
+        calls = []
+        shift_p = TruncatedSeries.shift_p
+
+        def recorded(x, shifts):
+            shifts = [(k, prime, list(terms)) for k, prime, terms in shifts]
+            calls.append((x, shifts))
+            return shift_p(x, shifts)
+
+        monkeypatch.setattr(TruncatedSeries, "shift_p", recorded)
+        assert verify_hirota(m, n_s, 5, 5, side=side).passed
+        monkeypatch.undo()
+        assert len(calls) == 4
+        for x, shifts in calls:
+            self.check(x, shifts)
 
 
 class TestAuxOps:

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import hurwitz_toda.verify as verify_module
 from hurwitz_toda.hurwitz import build_tau
 from hurwitz_toda.series import TruncatedSeries, make_key
 from hurwitz_toda.verify import (
@@ -75,9 +77,47 @@ class TestTauN:
     def test_scope(self):
         with pytest.raises(ValueError):
             verify_tau_n(4, 2, 2)
+        with pytest.raises(ValueError, match="d_max must be at least 1"):
+            verify_tau_n(1, 0, 2)
+
+
+HIROTA_CASES = [(m, n_s, side) for m in (-1, 0, 1) for n_s in (1, 2, 3)
+                for side in ("p", "pprime")]
+
+# These four equations hold for every series, not only for tau (checked on a
+# random series below), so no corruption of tau can make them fail.
+IDENTITIES_OF_EVERY_SERIES = {(-1, 1, "p"), (-1, 1, "pprime"), (0, 1, "p"), (0, 2, "p")}
 
 
 class TestHirota:
+    @pytest.mark.parametrize("m, n_s, side", HIROTA_CASES)
+    def test_residual_zero_at_five(self, m, n_s, side):
+        report = verify_hirota(m, n_s, 5, 5, side=side)
+        assert report.passed, report.first_failure
+
+    @pytest.mark.parametrize("m, n_s, side", HIROTA_CASES)
+    def test_corruption_at_five(self, m, n_s, side):
+        report = verify_hirota(m, n_s, 5, 5, side=side, corruption=CORRUPTIONS[0])
+        if (m, n_s, side) in IDENTITIES_OF_EVERY_SERIES:
+            assert report.passed
+        else:
+            assert not report.passed and report.first_failure is not None
+
+    def test_identities_of_every_series(self, monkeypatch):
+        # a random series with constant term 1 passes exactly these four
+        rng = random.Random(5)
+        coeffs = {make_key(): F(1)}
+        for _ in range(12):
+            d = rng.randint(1, 4)
+            mu = rng.choice([(d,), (1,) * d, (1,)])
+            nu = rng.choice([(d,), (1,) * d, ()])
+            coeffs[make_key(dq=d, b=rng.randint(0, 3), mu=mu, nu=nu)] = F(rng.randint(1, 9), 7)
+        series = TruncatedSeries(4, 3, coeffs=coeffs)
+        monkeypatch.setattr(verify_module, "build_tau", lambda d_max, b_max, cache=None: series)
+        passed = {case for case in HIROTA_CASES
+                  if verify_hirota(case[0], case[1], 4, 3, side=case[2]).passed}
+        assert passed == IDENTITIES_OF_EVERY_SERIES
+
     @pytest.mark.parametrize("m", [-1, 0, 1])
     @pytest.mark.parametrize("n_s", [1, 2])
     @pytest.mark.parametrize("side", ["p", "pprime"])
@@ -100,6 +140,8 @@ class TestHirota:
             verify_hirota(0, 4, 3, 3)
         with pytest.raises(ValueError):
             verify_hirota(0, 1, 3, 3, side="q")
+        with pytest.raises(ValueError, match="d_max must be at least 1"):
+            verify_hirota(0, 1, 0, 3)
 
     @pytest.mark.parametrize("key", CORRUPTIONS[:2])
     def test_corruption_fails_with_monomial(self, key):
