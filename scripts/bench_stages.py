@@ -19,8 +19,8 @@ times, with ``time.perf_counter`` in this one process:
     d1_d1p        (dtau/dp1)(dtau/dp'1)            /  in its order
     hirota_shift  the four shift_p calls of verify_hirota(0, 1), on their
                   lifted, q-scaled inputs
-    extract_z     the two z-extractions of verify_hirota(0, 1), from the
-                  products of the shifted factors
+    extract_z     the z-extractions of verify_hirota(0, 1), prefactor
+                  included, from the products of the shifted factors
 
 with the term count of each result, and exits nonzero unless the Toda
 residual vanishes.
@@ -73,14 +73,15 @@ def stages(ht, d_max: int, b_max: int) -> dict:
     # q-scaling, sign of s, sign of the z-vector, z-vector on the primed family)
     factors = [(0, 1, 1, 1, True), (0, -1, -1, -1, True), (1, 0, 1, -1, False),
                (1, 0, -1, 1, False)]
-    inputs = [(tau.with_caps(z_min=-1, z_max=z_max, s_max=1).scale_q_exp(scale),
+    inputs = [(tau.with_caps(z_max=z_max, s_max=1).scale_q_exp(scale),
                ht.verify._merge_shifts(ht.verify._zvec_shifts(zv, zv_prime, d_max),
                                        [(1, True, [ht.ShiftTerm(s_sign, s_degree=1)])]))
               for z_max, scale, s_sign, zv, zv_prime in factors]
     a, b, c, d = timed("hirota_shift", lambda: [x.shift_p(sh) for x, sh in inputs])
     lhs, rhs = a * b, c * d
-    lhs = lhs + lhs.mul_aux_monomial(-2, dz=-1, ds=1)
-    timed("extract_z", lambda: [lhs.extract_z(-1), rhs.extract_z(1)])
+    # the prefactor 1 - 2 s z^-1 on the left: [z^-1] lhs is empty, so it reads s [z^0]
+    timed("extract_z", lambda: [lhs.extract_z(-1) + lhs.extract_z(0).mul_aux_monomial(-2, ds=1),
+                                rhs.extract_z(1)])
     return out
 
 

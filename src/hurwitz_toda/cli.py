@@ -188,6 +188,8 @@ def cmd_compare(args) -> int:
     except OracleLimitError as exc:
         sys.stderr.write(f"{exc}\n")
         return 2
+    # after a CSV table the summary goes to stderr, so stdout stays one table
+    summary = sys.stderr if args.format == "csv" else sys.stdout
     if args.format == "json":
         obj = [
             {k: (format_rational(v) if k in ("oracle", "series", "formula") and v is not None
@@ -198,13 +200,13 @@ def cmd_compare(args) -> int:
         _emit(json.dumps(obj, indent=2) + "\n", args.out)
     elif discrepancies:
         for rec in discrepancies:
-            sys.stdout.write(
+            summary.write(
                 f"DISCREPANCY {rec['kind']} d={rec['d']} b={rec['b']} "
                 f"mu={rec['mu']} nu={rec['nu']} oracle={rec['oracle']} "
                 f"series={rec['series']} formula={rec['formula']}\n"
             )
     else:
-        sys.stdout.write(f"agreement for all d <= {args.dmax}, b <= {args.bmax}\n")
+        summary.write(f"agreement for all d <= {args.dmax}, b <= {args.bmax}\n")
     return 1 if discrepancies else 0
 
 

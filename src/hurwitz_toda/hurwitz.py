@@ -213,7 +213,7 @@ class _Cells:
 
     def _conn_cell(self, d: int, b: int) -> None:
         acc: dict = {}
-        caps = (d, b, 0, 0, 0)
+        caps = TruncatedSeries(d, b)._caps()
         for k in range(1, d):
             for c in range(b + 1):
                 rest = self._tau_groups.get((d - k, b - c))

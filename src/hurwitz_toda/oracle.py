@@ -210,6 +210,16 @@ def _sweep_task(args: tuple) -> tuple:
     return (args, _sweep(d, mu_parts, b))
 
 
+def _check_box(d_max: int, b_max: int, d_cap: int, b_cap: int) -> None:
+    """Refuse an empty box, which holds nothing to count, and one past the caps."""
+    if d_max < 1:
+        raise ValueError("d_max must be at least 1")
+    if b_max < 0:
+        raise ValueError("b_max must be nonnegative")
+    if d_max > d_cap or b_max > b_cap:
+        raise OracleLimitError("oracle scale limit")
+
+
 def compare_all(d_max_oracle: int, b_max_oracle: int, *,
                 jobs: int = 1,
                 d_cap: int = DEFAULT_D_CAP, b_cap: int = DEFAULT_B_CAP,
@@ -225,8 +235,7 @@ def compare_all(d_max_oracle: int, b_max_oracle: int, *,
     control).  The sweeps run on at most ``jobs`` worker processes, and never
     on more than ``os.cpu_count()``.
     """
-    if d_max_oracle > d_cap or b_max_oracle > b_cap:
-        raise OracleLimitError("oracle scale limit")
+    _check_box(d_max_oracle, b_max_oracle, d_cap, b_cap)
     tau = build_tau(d_max_oracle, b_max_oracle, cache=cache)
     if corruption is not None:
         tau = tau.with_coefficient(corruption, tau.coefficient(corruption) + 1)
@@ -278,8 +287,7 @@ def compare_all(d_max_oracle: int, b_max_oracle: int, *,
 def count_table(d_max_oracle: int, b_max_oracle: int, *,
                 d_cap: int = DEFAULT_D_CAP, b_cap: int = DEFAULT_B_CAP) -> list[dict]:
     """Raw oracle counts per (d, b, mu, nu), for the CSV dump."""
-    if d_max_oracle > d_cap or b_max_oracle > b_cap:
-        raise OracleLimitError("oracle scale limit")
+    _check_box(d_max_oracle, b_max_oracle, d_cap, b_cap)
     rows = []
     for d in range(1, d_max_oracle + 1):
         for b in range(b_max_oracle + 1):

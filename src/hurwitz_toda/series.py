@@ -3,9 +3,11 @@
 The ring has a grading variable q, a deformation variable beta, and two
 families of weighted variables p_1, p_2, ... and p'_1, p'_2, ... with
 weight(p_k) = weight(p'_k) = k.  Two bookkeeping symbols may additionally be
-switched on: a Laurent symbol z (bounded exponent window) and a perturbation
+switched on: a symbol z with exponents 0 ... z_max and a perturbation
 symbol s capped at first order.  Both are needed only by the bilinear
-identity checks.
+identity checks.  Every cap cuts a truncation ideal: apart from the
+extractions, no operation lowers a q, beta, z or s exponent, so a dropped
+term never feeds a kept one.
 
 A monomial key is the tuple ``(dq, b, mu, nu, z, s)`` where ``mu`` and ``nu``
 are weakly decreasing tuples recording the exponent patterns of the two
@@ -73,8 +75,7 @@ class ShiftTerm:
     non-integer is refused), z_power >= 0 and s_degree at most one; higher
     orders in the perturbation symbol are out of scope.  A shift raises the
     z and s exponents only, which is what lets ``shift_p`` stop expanding
-    at the top of the windows; negative z powers belong in
-    ``mul_aux_monomial``.
+    at the top of the windows.
     """
 
     coeff: int
@@ -103,18 +104,14 @@ class TruncatedSeries:
     denominator, with no common factor, so equal series have equal storage.
     """
 
-    __slots__ = ("d_max", "b_max", "z_min", "z_max", "s_max", "_nums", "_den")
+    __slots__ = ("d_max", "b_max", "z_max", "s_max", "_nums", "_den")
 
-    def __init__(self, d_max: int, b_max: int, *,
-                 z_min: int = 0, z_max: int = 0, s_max: int = 0,
+    def __init__(self, d_max: int, b_max: int, *, z_max: int = 0, s_max: int = 0,
                  coeffs: dict[Key, Fraction] | None = None):
-        if d_max < 0 or b_max < 0:
+        if min(d_max, b_max, z_max, s_max) < 0:
             raise ValueError("truncation orders must be nonnegative")
-        if z_min > 0 or z_max < 0 or s_max < 0:
-            raise ValueError("aux windows must contain zero")
         self.d_max = d_max
         self.b_max = b_max
-        self.z_min = z_min
         self.z_max = z_max
         self.s_max = s_max
         values = {key: _exact(val) for key, val in (coeffs or {}).items()}
@@ -140,12 +137,11 @@ class TruncatedSeries:
         return cls(d_max, b_max, **aux, coeffs=acc)
 
     def _caps(self) -> tuple:
-        return (self.d_max, self.b_max, self.z_min, self.z_max, self.s_max)
+        return (self.d_max, self.b_max, self.z_max, self.s_max)
 
     def _same_caps(self, nums: dict[Key, int], den: int) -> "TruncatedSeries":
         """A series with these caps holding nums / den, reduced to lowest terms."""
-        out = TruncatedSeries(self.d_max, self.b_max,
-                              z_min=self.z_min, z_max=self.z_max, s_max=self.s_max)
+        out = TruncatedSeries(self.d_max, self.b_max, z_max=self.z_max, s_max=self.s_max)
         out._nums, out._den = _reduced(nums, den)
         return out
 
@@ -153,20 +149,18 @@ class TruncatedSeries:
         dq, b, mu, nu, z, s = key
         return (0 <= dq <= self.d_max and 0 <= b <= self.b_max
                 and sum(mu) <= dq and sum(nu) <= dq
-                and self.z_min <= z <= self.z_max and 0 <= s <= self.s_max)
+                and 0 <= z <= self.z_max and 0 <= s <= self.s_max)
 
     def _check_compatible(self, other: "TruncatedSeries") -> None:
         if self._caps() != other._caps():
             raise ValueError("incompatible truncation orders")
 
     def with_caps(self, d_max: int | None = None, b_max: int | None = None,
-                  z_min: int | None = None, z_max: int | None = None,
-                  s_max: int | None = None) -> "TruncatedSeries":
+                  z_max: int | None = None, s_max: int | None = None) -> "TruncatedSeries":
         """Same terms under new caps; terms outside the new caps are dropped."""
         out = TruncatedSeries(
             self.d_max if d_max is None else d_max,
             self.b_max if b_max is None else b_max,
-            z_min=self.z_min if z_min is None else z_min,
             z_max=self.z_max if z_max is None else z_max,
             s_max=self.s_max if s_max is None else s_max,
         )
@@ -262,75 +256,55 @@ class TruncatedSeries:
     # -- analytic operations (finite under truncation) -------------------------
 
     def exp(self) -> "TruncatedSeries":
-        """Exponential of a series with zero constant term.
-
-        Computed order by order along the additive grade dq + b + s, which
-        avoids forming full powers of the argument:
-        E_g = (1/g) sum_h h S_h E_{g-h} for the graded parts S_h.
-        """
+        """Exponential of a series with zero constant term."""
         if self.constant_term() != 0:
             raise ValueError("exp requires zero constant term")
-        parts = {g: _grouped(p) for g, p in self._graded_parts("exp").items()}
-        caps, merged = self._caps(), {}
-        # grade -> (grouped numerators, their common denominator)
-        powers: dict[int, tuple[Groups, int]] = {0: (_grouped({ZERO_KEY: 1}), 1)}
-        pieces = [({ZERO_KEY: 1}, 1)]
-        for g in range(1, self._max_grade() + 1):
-            hs = [h for h in parts if h <= g and g - h in powers]
-            m = lcm(*(powers[g - h][1] for h in hs))
-            acc: dict = {}
-            for h in hs:
-                prev, prev_den = powers[g - h]
-                _mul_groups(acc, _scaled(parts[h], h * (m // prev_den)), prev, caps, merged)
-            part, part_den = _reduced(dict(_flat(acc)), g * m * self._den)
-            if part:
-                pieces.append((part, part_den))
-                powers[g] = (_grouped(part), part_den)
-        return self._same_caps(*_joined(pieces))
+        return self._exp_log(to_exp=True)
 
     def log(self) -> "TruncatedSeries":
-        """Logarithm of a series with constant term one.
-
-        Inverse of :meth:`exp` up to truncation; same graded recursion,
-        L_g = S_g - (1/g) sum_{h<g} h L_h S_{g-h}.
-        """
+        """Logarithm of a series with constant term one; inverse of :meth:`exp`."""
         if self.constant_term() != 1:
             raise ValueError("log requires constant term 1")
-        nums = self._graded_parts("log")
-        parts = {g: _grouped(p) for g, p in nums.items()}
+        return self._exp_log(to_exp=False)
+
+    def _exp_log(self, to_exp: bool) -> "TruncatedSeries":
+        """E = exp(L) from this series as L, or L = log(E) from it as E.
+
+        Solved part by part along the additive grade g = dq + b + s, which
+        avoids forming full powers of the argument:
+        E_g - L_g = (1/g) sum_{0<h<g} h L_h E_{g-h}, so each unknown part
+        needs only the parts below it.
+        """
+        given: dict[int, dict[Key, int]] = defaultdict(dict)
+        for key, x in self._nums.items():
+            if key != ZERO_KEY:
+                g = key[0] + key[1] + key[5]
+                if g == 0:
+                    raise ValueError(f"{'exp' if to_exp else 'log'} does not support bare z monomials")
+                given[g][key] = x
+        # grade -> (grouped numerators, their common denominator)
+        known = {g: (_grouped(p), self._den) for g, p in given.items()}
+        solved: dict[int, tuple[Groups, int]] = {}
+        logs, exps = (known, solved) if to_exp else (solved, known)
+        sign = 1 if to_exp else -1
         caps, merged = self._caps(), {}
-        logs: dict[int, tuple[Groups, int]] = {}
-        pieces = []
-        for g in range(1, self._max_grade() + 1):
-            hs = [h for h in logs if g - h in parts]
-            m = lcm(*(logs[h][1] for h in hs))
+        pieces = [({ZERO_KEY: 1}, 1)] if to_exp else []
+        for g in range(1, self.d_max + self.b_max + self.s_max + 1):
+            hs = [h for h in logs if g - h in exps]
+            m = lcm(self._den, *(logs[h][1] * exps[g - h][1] for h in hs))
             acc: dict = {}
             for h in hs:
-                lh, lh_den = logs[h]
-                _mul_groups(acc, _scaled(lh, h * (m // lh_den)), parts[g - h], caps, merged)
-            scale = g * m
-            numer = {k: x * scale for k, x in nums.get(g, {}).items()}
+                (lh, lh_den), (eh, eh_den) = logs[h], exps[g - h]
+                _mul_groups(acc, _scaled(lh, h * (m // (lh_den * eh_den))), eh, caps, merged)
+            scale = g * m // self._den
+            numer = {k: x * scale for k, x in given.get(g, {}).items()}
             for k, x in _flat(acc):
-                numer[k] = numer.get(k, 0) - x
-            part, part_den = _reduced(numer, scale * self._den)
+                numer[k] = numer.get(k, 0) + sign * x
+            part, part_den = _reduced(numer, g * m)
             if part:
                 pieces.append((part, part_den))
-                logs[g] = (_grouped(part), part_den)
+                solved[g] = (_grouped(part), part_den)
         return self._same_caps(*_joined(pieces))
-
-    def _graded_parts(self, opname: str) -> dict[int, dict[Key, int]]:
-        """Numerators of the nonconstant terms, by grade."""
-        parts: dict[int, dict[Key, int]] = defaultdict(dict)
-        for key, x in self._nums.items():
-            g = _grade(key)
-            if g == 0 and key != ZERO_KEY:
-                raise ValueError(f"{opname} does not support bare z monomials")
-            if key != ZERO_KEY:
-                parts[g][key] = x
-        return parts
-
-    def _max_grade(self) -> int:
-        return self.d_max + self.b_max + self.s_max
 
     # -- derivations and substitutions ----------------------------------------
 
@@ -397,12 +371,14 @@ class TruncatedSeries:
                                 if key[0] + j <= self.d_max}, self._den)
 
     def mul_aux_monomial(self, coeff: Fraction, dz: int = 0, ds: int = 0) -> "TruncatedSeries":
-        """Multiply by coeff * z^dz * s^ds, pruning at the aux windows."""
+        """Multiply by coeff * z^dz * s^ds for dz >= 0, pruning at the aux windows."""
+        if dz < 0:
+            raise ValueError("negative z powers are not in the ring")
         coeff = _exact(coeff)
         acc: dict[Key, int] = {}
         for key, x in self._nums.items():
             z, s = key[4] + dz, key[5] + ds
-            if self.z_min <= z <= self.z_max and 0 <= s <= self.s_max:
+            if z <= self.z_max and 0 <= s <= self.s_max:
                 acc[key[:4] + (z, s)] = x * coeff.numerator
         return self._same_caps(acc, self._den * coeff.denominator)
 
@@ -415,9 +391,7 @@ class TruncatedSeries:
         multinomial expansion runs in integers.  The image of a key depends
         only on its tail (mu, nu, z, s), so each distinct tail is expanded
         once per call.  Shifts raise z and s only, so an expansion stops as
-        soon as it leaves the room below z_max and s_max (the windows are
-        sized by the caller so that dropped terms can never feed a retained
-        coefficient).
+        soon as it leaves the room below z_max and s_max.
         """
         smap: dict[tuple[bool, int], tuple[ShiftTerm, ...]] = {}
         for k, prime, terms in shifts:
@@ -468,7 +442,7 @@ class TruncatedSeries:
 
     def extract_s(self, deg: int) -> "TruncatedSeries":
         """Coefficient of s^deg, as a series without the perturbation symbol."""
-        out = TruncatedSeries(self.d_max, self.b_max, z_min=self.z_min, z_max=self.z_max)
+        out = TruncatedSeries(self.d_max, self.b_max, z_max=self.z_max)
         return out._same_caps({key[:4] + (key[4], 0): x
                                for key, x in self._nums.items() if key[5] == deg}, self._den)
 
@@ -485,10 +459,6 @@ class TruncatedSeries:
             raise ValueError(f"key {key} violates truncation orders")
         change = _exact(value) - self.coefficient(key)
         return self + self._same_caps({key: change.numerator}, change.denominator)
-
-
-def _grade(key: Key) -> int:
-    return key[0] + key[1] + key[5]
 
 
 # -- integer kernels -----------------------------------------------------------
@@ -544,13 +514,13 @@ def _scaled(groups: Groups, factor: int) -> Groups:
 def _mul_groups(acc: dict, a: Groups, b: Groups, caps: tuple, merged: dict) -> None:
     """Accumulate the truncated product of two grouped operands into acc.
 
-    ``caps`` is (d_max, b_max, z_min, z_max, s_max).  ``acc`` maps
+    ``caps`` is (d_max, b_max, z_max, s_max).  ``acc`` maps
     (dq, mu, nu, z, s) to a dense integer beta-vector.  Pattern merges are
     memoized in ``merged`` per pattern pair, so each is sorted once however
     many beta terms the two groups carry.  Weights need no check: they are
     at most the q-degree, which is capped.
     """
-    d_max, b_max, z_lo, z_hi, s_hi = caps
+    d_max, b_max, z_hi, s_hi = caps
     width = b_max + 1
     for da, by_mu_a in a.items():
         for db, by_mu_b in b.items():
@@ -565,7 +535,7 @@ def _mul_groups(acc: dict, a: Groups, b: Groups, caps: tuple, merged: dict) -> N
                     for nu1, z1, s1, bv1 in rows1:
                         for nu2, z2, s2, bv2 in rows2:
                             z = z1 + z2
-                            if z < z_lo or z > z_hi:
+                            if z > z_hi:
                                 continue
                             s = s1 + s2
                             if s > s_hi:

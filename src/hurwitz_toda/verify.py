@@ -196,8 +196,7 @@ def verify_hirota(m: int, n_s: int, d_max: int, b_max: int, *,
     rhs_zmax = m + 1 + (n_s if not primed else 0)
 
     def build(zmax: int, scale: int, s_sign: int, zv_sign: int, zv_prime: bool):
-        # z_min admits the prefactor's z^{-n_s}; shifted factors stay >= 0
-        lifted = tau.with_caps(z_min=-n_s, z_max=zmax, s_max=1)
+        lifted = tau.with_caps(z_max=zmax, s_max=1)
         shifts = _merge_shifts(
             _zvec_shifts(zv_sign, zv_prime, tau.d_max),
             [(n_s, primed, [ShiftTerm(Fraction(s_sign), s_degree=1)])],
@@ -206,14 +205,13 @@ def verify_hirota(m: int, n_s: int, d_max: int, b_max: int, *,
 
     lhs = build(lhs_zmax, m + 1, +1, +1, True) * build(lhs_zmax, -1, -1, -1, True)
     rhs = build(rhs_zmax, m, +1, -1, False) * build(rhs_zmax, 0, -1, +1, False)
+    left, right = lhs.extract_z(-1 - m), rhs.extract_z(m + 1)
+    # [z^t] P (1 + c s z^{-n_s}) = [z^t] P + c s [z^{t+n_s}] P at first order in s
     if primed:
-        lhs = lhs + lhs.mul_aux_monomial(Fraction(-2, n_s), dz=-n_s, ds=1)
+        left = left + lhs.extract_z(n_s - 1 - m).mul_aux_monomial(Fraction(-2, n_s), ds=1)
     else:
-        rhs = rhs + rhs.mul_aux_monomial(Fraction(2, n_s), dz=-n_s, ds=1)
-
-    left = lhs.extract_z(-1 - m).mul_q_power(m + 1)
-    left = left.mul_exp_beta(Fraction(m * (m + 1), 2))
-    right = rhs.extract_z(m + 1)
+        right = right + rhs.extract_z(m + 1 + n_s).mul_aux_monomial(Fraction(2, n_s), ds=1)
+    left = left.mul_q_power(m + 1).mul_exp_beta(Fraction(m * (m + 1), 2))
     residual = left - right
 
     notes: dict = {"side": side}

@@ -178,12 +178,37 @@ class TestCompare:
         assert code == 2 and "oracle scale limit" in err
 
     def test_csv_dump(self, capsys):
-        code, out, _ = run(capsys, "compare", "--dmax", "2", "--bmax", "1",
-                           "--format", "csv")
+        code, out, err = run(capsys, "compare", "--dmax", "2", "--bmax", "1",
+                             "--format", "csv")
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows[0].keys() == {"d", "b", "mu", "nu",
                                   "disconnected_count", "connected_count"}
+        # every stdout row is a table row; the summary is on stderr
+        assert len(rows) == 10 and all(row["d"].isdigit() for row in rows)
+        assert err == "agreement for all d <= 2, b <= 1\n"
+
+    def test_csv_discrepancies_on_stderr(self, capsys, monkeypatch):
+        found = {"d": 1, "b": 0, "mu": (1,), "nu": (1,), "kind": "connected",
+                 "oracle": 1, "series": 2, "formula": None}
+        monkeypatch.setattr(cli, "compare_all", lambda *args, **kwargs: [found])
+        code, out, err = run(capsys, "compare", "--dmax", "1", "--bmax", "0",
+                             "--format", "csv")
+        assert code == 1
+        assert out == "d,b,mu,nu,disconnected_count,connected_count\n1,0,1,1,1,1\n"
+        assert err.startswith("DISCREPANCY connected d=1 b=0")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--dmax", "0"], "d_max must be at least 1"),
+        (["--dmax", "0", "--format", "csv"], "d_max must be at least 1"),
+        (["--dmax", "2", "--bmax", "-1"], "b_max must be nonnegative"),
+        (["--dmax", "2", "--bmax", "-1", "--format", "csv"], "b_max must be nonnegative"),
+    ])
+    def test_empty_box_refused(self, capsys, argv, message):
+        # nothing to compare, so no table, no agreement line and exit 2
+        code, out, err = run(capsys, "compare", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_env_cap_override(self, capsys, monkeypatch):
         monkeypatch.setenv("HURWITZ_ORACLE_DMAX_CAP", "2")

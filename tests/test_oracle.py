@@ -223,6 +223,21 @@ class TestCompareAll:
         with pytest.raises(OracleLimitError, match="oracle scale limit"):
             compare_all(7, 0)
 
+    @pytest.mark.parametrize("run", [compare_all, count_table])
+    def test_empty_box_refused(self, run, monkeypatch):
+        # a box with no degree or no beta order holds nothing to compare
+        def no_sweep(*args):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(oracle, "_sweep", no_sweep)
+        for d_max, b_max, message in [(0, 2, "d_max must be at least 1"),
+                                      (-1, 0, "d_max must be at least 1"),
+                                      (2, -1, "b_max must be nonnegative"),
+                                      (7, -1, "b_max must be nonnegative")]:
+            with pytest.raises(ValueError, match=message) as exc:
+                run(d_max, b_max)
+            assert not isinstance(exc.value, OracleLimitError)
+
     def test_corrupted_series_detected(self):
         bad = compare_all(2, 2, corruption=make_key(dq=1, mu=(1,), nu=(1,)))
         assert bad

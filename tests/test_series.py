@@ -51,10 +51,14 @@ class TestConstruction:
     def test_cap_violation_rejected(self):
         with pytest.raises(ValueError, match="truncation"):
             TruncatedSeries(1, 1, coeffs={make_key(dq=2): F(1)})
+        with pytest.raises(ValueError, match="truncation"):
+            TruncatedSeries(1, 1, z_max=1, coeffs={make_key(z=-1): F(1)})
 
     def test_negative_orders_rejected(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries(-1, 0)
+        for orders, aux in [((-1, 0), {}), ((0, -1), {}), ((0, 0), {"z_max": -1}),
+                            ((0, 0), {"s_max": -1})]:
+            with pytest.raises(ValueError, match="nonnegative"):
+                TruncatedSeries(*orders, **aux)
 
     def test_weight_above_q_degree_rejected(self):
         keys = [make_key(dq=1, mu=(2,)), make_key(dq=2, nu=(2, 1)), make_key(mu=(1,), z=1),
@@ -72,13 +76,13 @@ class TestConstruction:
 
     def test_floats_refused(self):
         key = make_key(dq=1, mu=(1,), nu=(1,))
-        s = TruncatedSeries.one(1, 1, z_min=-1, s_max=1)
+        s = TruncatedSeries.one(1, 1, z_max=1, s_max=1)
         entry_points = [
             lambda: TruncatedSeries(1, 1, coeffs={ZERO_KEY: 0.1}),
             lambda: TruncatedSeries.from_terms(1, 1, terms=[(ZERO_KEY, 0.5)]),
             lambda: s.with_coefficient(key, 0.5),
             lambda: s.mul_exp_beta(0.1),
-            lambda: s.mul_aux_monomial(0.5, dz=-1),
+            lambda: s.mul_aux_monomial(0.5, dz=1),
             lambda: ShiftTerm(1.0, z_power=1),
             lambda: s + 0.5, lambda: 0.5 + s,
             lambda: s - 0.5, lambda: 0.5 - s,
@@ -161,7 +165,7 @@ def in_window(caps, key):
     dq, b, mu, nu, z, s = key
     return (dq <= caps.d_max and b <= caps.b_max
             and sum(mu) <= dq and sum(nu) <= dq
-            and caps.z_min <= z <= caps.z_max and s <= caps.s_max)
+            and z <= caps.z_max and s <= caps.s_max)
 
 
 def naive_product(a, b):
@@ -173,14 +177,12 @@ def naive_product(a, b):
                    tuple(sorted(nu1 + nu2, reverse=True)), z1 + z2, s1 + s2)
             if in_window(a, key):
                 acc[key] = acc.get(key, F(0)) + c1 * c2
-    return TruncatedSeries(a.d_max, a.b_max, z_min=a.z_min,
-                           z_max=a.z_max, s_max=a.s_max, coeffs=acc)
+    return TruncatedSeries(a.d_max, a.b_max, z_max=a.z_max, s_max=a.s_max, coeffs=acc)
 
 
 def naive_power_series(x, coeffs):
     """sum_k coeffs[k] x^k by repeated naive products."""
-    power = TruncatedSeries.one(x.d_max, x.b_max, z_min=x.z_min,
-                                z_max=x.z_max, s_max=x.s_max)
+    power = TruncatedSeries.one(x.d_max, x.b_max, z_max=x.z_max, s_max=x.s_max)
     total = power * coeffs[0]
     for c in coeffs[1:]:
         power = naive_product(power, x)
@@ -188,20 +190,18 @@ def naive_power_series(x, coeffs):
     return total
 
 
-def random_aux_series(rng, d_max=3, b_max=3, n_terms=8,
-                      z_min=0, z_max=2, s_max=1):
+def random_aux_series(rng, d_max=3, b_max=3, n_terms=8, z_max=2, s_max=1):
     """Random series with z and s symbols, mixed denominators, both signs."""
     pool = patterns_up_to(d_max)
     coeffs = {}
     for _ in range(n_terms):
         mu, nu = rng.choice(pool), rng.choice(pool)
         key = make_key(dq=random_dq(rng, mu, nu, d_max), b=rng.randint(0, b_max),
-                       mu=mu, nu=nu, z=rng.randint(z_min, z_max), s=rng.randint(0, s_max))
+                       mu=mu, nu=nu, z=rng.randint(0, z_max), s=rng.randint(0, s_max))
         if key[:4] == ZERO_KEY[:4] and key[5] == 0:
             continue  # no constant or bare z terms, so exp and log apply
         coeffs[key] = F(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 5, 7, 9, 12, 25]))
-    return TruncatedSeries(d_max, b_max, z_min=z_min, z_max=z_max, s_max=s_max,
-                           coeffs=coeffs)
+    return TruncatedSeries(d_max, b_max, z_max=z_max, s_max=s_max, coeffs=coeffs)
 
 
 class TestKernelReference:
@@ -210,8 +210,8 @@ class TestKernelReference:
     def test_product_random(self):
         rng = random.Random(31337)
         for _ in range(60):
-            a = random_aux_series(rng, z_min=-2)
-            b = random_aux_series(rng, z_min=-2)
+            a = random_aux_series(rng)
+            b = random_aux_series(rng)
             assert a * b == naive_product(a, b)
 
     def test_schur_square_truncated_by_q_cap(self):
@@ -291,6 +291,8 @@ class TestExpLog:
         s = series(1, 1, [(make_key(z=1), F(1))], z_max=1)
         with pytest.raises(ValueError, match="bare z"):
             s.exp()
+        with pytest.raises(ValueError, match="bare z"):
+            (s + 1).log()
 
     def test_round_trips_random(self):
         rng = random.Random(99)
@@ -484,13 +486,12 @@ def shift_reference(x, shifts):
             if c == 0:
                 continue
             z, s = z0 + dz, s0 + ds
-            if not (x.z_min <= z <= x.z_max and s <= x.s_max):
+            if not (z <= x.z_max and s <= x.s_max):
                 continue
             newkey = (dq, b, tuple(sorted(km, reverse=True)),
                       tuple(sorted(kn, reverse=True)), z, s)
             acc[newkey] = acc.get(newkey, 0) + c
-    return TruncatedSeries(x.d_max, x.b_max, z_min=x.z_min, z_max=x.z_max,
-                           s_max=x.s_max, coeffs=acc)
+    return TruncatedSeries(x.d_max, x.b_max, z_max=x.z_max, s_max=x.s_max, coeffs=acc)
 
 
 def random_shifts(rng, max_part):
@@ -514,8 +515,7 @@ class TestShiftReference:
     def test_random_with_aux_symbols(self):
         rng = random.Random(4242)
         for _ in range(60):
-            x = random_aux_series(rng, d_max=4, b_max=2, n_terms=10,
-                                  z_min=-2, z_max=rng.randint(0, 3), s_max=1)
+            x = random_aux_series(rng, d_max=4, b_max=2, n_terms=10, z_max=rng.randint(0, 3))
             assert any(key[4] or key[5] for key in x.keys())
             self.check(x, random_shifts(rng, 4))
 
@@ -523,7 +523,7 @@ class TestShiftReference:
         x = series(4, 1, [(make_key(dq=4, mu=(1, 1, 1), nu=(2, 1), z=1), F(1, 3)),
                           (make_key(dq=3, b=1, mu=(2, 1), nu=(1, 1, 1)), F(-2)),
                           (make_key(dq=4, mu=(1, 1, 1, 1), s=1), F(5, 7))],
-                   z_min=-1, z_max=4, s_max=1)
+                   z_max=4, s_max=1)
         terms = [ShiftTerm(c, z_power=zp, s_degree=sd)
                  for c in (0, 1, -1, 2, -2) for zp in (0, 1, 3) for sd in (0, 1)]
         for i in range(0, len(terms), 3):
@@ -559,9 +559,17 @@ class TestShiftReference:
 
 class TestAuxOps:
     def test_mul_aux_monomial(self):
-        s = TruncatedSeries.one(1, 1, z_min=-2, z_max=2, s_max=1)
-        t = s.mul_aux_monomial(F(3), dz=-2, ds=1)
-        assert t.coefficient(make_key(z=-2, s=1)) == 3
+        s = TruncatedSeries.one(1, 1, z_max=2, s_max=1)
+        t = s.mul_aux_monomial(F(3), dz=2, ds=1)
+        assert t.coefficient(make_key(z=2, s=1)) == 3 and len(t) == 1
+        # pruned at the top of the windows
+        assert t.mul_aux_monomial(F(1), dz=1).is_zero()
+        assert t.mul_aux_monomial(F(1), ds=1).is_zero()
+
+    def test_negative_z_power_rejected(self):
+        s = TruncatedSeries.one(1, 1, z_max=2, s_max=1)
+        with pytest.raises(ValueError, match="negative z powers"):
+            s.mul_aux_monomial(F(1), dz=-1)
 
     def test_extract_z(self):
         s = series(1, 0, [
