@@ -11,12 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .partitions import Partition, class_size
-
-
-def _partition(x) -> Partition:
-    """``x`` itself when it already is a Partition, so a cache hit builds none."""
-    return x if isinstance(x, Partition) else Partition(x)
+from .partitions import Partition, _partition, class_size
 
 
 class CharacterCache:

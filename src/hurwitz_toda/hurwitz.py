@@ -15,12 +15,13 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import mul
 
 from .characters import CharacterCache, DEFAULT_CACHE
 from .partitions import (
     Partition,
+    _partition,
     class_size,
     f2_contents,
     partitions_of,
@@ -75,27 +76,31 @@ def cov_burnside(d: int, classes: list[Partition], *,
 
     Sum over shapes of size d of (dim/d!)^2 times the product of the class
     eigenvalues |C| chi(C) / dim; counts disconnected coverings too, each
-    weighted by the reciprocal of its automorphism group order.  Summed as
-    integers over each shape's dim^k, for k classes, then divided by d!^2.
+    weighted by the reciprocal of its automorphism group order.  For k
+    classes, each shape's integer numerator over dim^k is brought to L^k,
+    with L the lcm of the dims, and the integer sum is divided by
+    L^k d!^2 once.
     """
     cache = cache or DEFAULT_CACHE
-    classes = [Partition(c) for c in classes]
+    classes = [_partition(c) for c in classes]
     for c in classes:
         if c.size != d:
             raise ValueError(f"class {c} does not have size {d}")
     repeats = Counter(classes)
     sizes = {c: class_size(c) for c in repeats}
-    total = Fraction(0)
-    for lam in partitions_of(d):
-        dim = cache.dimension(lam)
+    shapes = list(partitions_of(d))
+    dims = [cache.dimension(lam) for lam in shapes]
+    common = lcm(*filter(None, dims))  # not d!: a seeded cache may hold any dim
+    total = 0
+    for lam, dim in zip(shapes, dims):
         num = dim * dim
         for c, m in repeats.items():
             num *= (sizes[c] * cache.character(lam, c)) ** m
             if not num:
                 break
         if num:
-            total += Fraction(num, dim ** len(classes))
-    return total / factorial(d) ** 2
+            total += num * (common // dim) ** len(classes)
+    return Fraction(total, common ** len(classes) * factorial(d) ** 2)
 
 
 def cov_with_transpositions(d: int, mu: Partition, nu: Partition, b: int, *,
@@ -106,7 +111,7 @@ def cov_with_transpositions(d: int, mu: Partition, nu: Partition, b: int, *,
     """
     if b < 0:
         raise ValueError("b must be nonnegative")
-    classes = [Partition(mu), Partition(nu)]
+    classes = [_partition(mu), _partition(nu)]
     if b > 0:
         if d < 2:
             return Fraction(0)

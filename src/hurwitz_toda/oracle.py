@@ -10,9 +10,12 @@ The count fixes sigma0 and applies the transpositions one at a time.  A
 tuple's prefix is summarized by its product so far and by the orbits of the
 group its permutations generate; both are all that later steps and the
 final counts depend on, so prefixes with equal summaries are counted
-together instead of one by one.  Every step is a permutation composition
-or an orbit merge, and the count reads no character, class-algebra value
-or series, so it stays an independent check of those routes, which only
+together instead of one by one.  Every step but the last is a permutation
+composition and an orbit merge.  The last step reads only the cycles of
+each product: a transposition (i j) joins the two cycles through i and j,
+or splits the one cycle holding both, and the tuple is transitive when the
+orbits end as one.  The count reads no character, class-algebra value or
+series, so it stays an independent check of those routes, which only
 ``compare_all`` calls.
 """
 
@@ -141,6 +144,58 @@ def _orbit_labels(p: Perm) -> Perm:
     return tuple(labels)
 
 
+def _orbit_cycles(p: Perm, labels: Perm) -> tuple:
+    """The cycle lengths of ``p`` within each orbit, each sorted, all sorted.
+
+    Conjugation preserves both the cycle types reached in one more step and
+    the orbits, so states with equal orbit cycles end alike.
+    """
+    orbits: dict = {}
+    seen = [False] * len(p)
+    for i in range(len(p)):
+        if not seen[i]:
+            n, j = 0, i
+            while not seen[j]:
+                seen[j] = True
+                j = p[j]
+                n += 1
+            orbits.setdefault(labels[i], []).append(n)
+    return tuple(sorted(tuple(sorted(lengths)) for lengths in orbits.values()))
+
+
+def _last_step(orbits: tuple) -> dict:
+    """{type of p t: [transpositions t, those after which one orbit remains]}.
+
+    For p with the given orbit cycles (see ``_orbit_cycles``), t = (i j)
+    runs over every transposition.  With i and j in cycles of lengths a and
+    c, a c transpositions join those cycles into one of length a + c, and
+    the tuple becomes transitive when it had one orbit, or two that the
+    join connects.  With both in one cycle of length L, t splits it into
+    delta = (pos j - pos i) mod L and L - delta, where pos counts steps of
+    p along the cycle: L transpositions for each delta < L/2, and L/2 for
+    delta = L/2.  A split leaves the orbits as they were.
+    """
+    cycles = [(n, k) for k, lengths in enumerate(orbits) for n in lengths]
+    parts = sorted((n for n, _ in cycles), reverse=True)
+    counts: dict = {}
+
+    def add(removed: tuple, added: tuple, number: int, transitive: bool) -> None:
+        rest = list(parts)
+        for n in removed:
+            rest.remove(n)
+        entry = counts.setdefault(tuple(sorted(rest + list(added), reverse=True)), [0, 0])
+        entry[0] += number
+        if transitive:
+            entry[1] += number
+
+    for x, (a, k) in enumerate(cycles):
+        for delta in range(1, a // 2 + 1):
+            add((a,), (delta, a - delta), a if 2 * delta < a else delta, len(orbits) == 1)
+        for c, kc in cycles[x + 1:]:
+            add((a, c), (a + c,), a * c, len(orbits) == 1 or (len(orbits) == 2 and k != kc))
+    return counts
+
+
 @lru_cache(maxsize=None)
 def _sweep(d: int, mu_parts: tuple, b: int) -> dict:
     """Counts of tuples with sigma0 of type mu, keyed by sigma_inf type.
@@ -148,15 +203,21 @@ def _sweep(d: int, mu_parts: tuple, b: int) -> dict:
     Fixes one representative sigma0 and multiplies by the class size at the
     end (conjugation preserves both the identity-product constraint and
     transitivity).  Walks states (product so far, orbits of sigma0 and the
-    transpositions so far), each with the number of transposition prefixes
-    that reach it; orbits are labelled by their smallest point, so equal
-    states merge.  Returns {nu_parts: [all_count, transitive_count]}.
+    transpositions so far) through the first b - 1 transpositions, each
+    with the number of transposition prefixes that reach it; orbits are
+    labelled by their smallest point, so equal states merge.  The last
+    transposition is counted from the cycles of each state's product (see
+    ``_last_step``): sigma_inf = (p t)^-1 has the cycle type of p t.
+    Returns {nu_parts: [all_count, transitive_count]}.
     """
     mu = Partition(mu_parts)
+    mult = class_size(mu)
+    if b == 0:  # the tuple is (sigma0, sigma0^-1)
+        return {mu.parts: [mult, mult if mu.length == 1 else 0]}
     sigma0 = class_representative(mu)
     states = {(sigma0, _orbit_labels(sigma0)): 1}
     swaps = [(t, [k for k in range(d) if t[k] != k]) for t in all_transpositions(d)]
-    for _ in range(b):
+    for _ in range(b - 1):
         reached: dict = {}
         for (p, labels), n in states.items():
             for t, (i, j) in swaps:
@@ -168,16 +229,16 @@ def _sweep(d: int, mu_parts: tuple, b: int) -> dict:
                 key = (compose(p, t), merged)
                 reached[key] = reached.get(key, 0) + n
         states = reached
-    mult = class_size(mu)
-    types: dict = {}
-    counts: dict[tuple, list[int]] = {}
+    grouped: dict = {}
     for (p, labels), n in states.items():
-        if p not in types:
-            types[p] = cycle_type(inverse(p)).parts
-        entry = counts.setdefault(types[p], [0, 0])
-        entry[0] += n * mult
-        if len(set(labels)) == 1:
-            entry[1] += n * mult
+        orbits = _orbit_cycles(p, labels)
+        grouped[orbits] = grouped.get(orbits, 0) + n * mult
+    counts: dict[tuple, list[int]] = {}
+    for orbits, n in grouped.items():
+        for nu, (every, transitive) in _last_step(orbits).items():
+            entry = counts.setdefault(nu, [0, 0])
+            entry[0] += n * every
+            entry[1] += n * transitive
     return counts
 
 

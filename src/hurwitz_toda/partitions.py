@@ -103,6 +103,18 @@ class Partition:
         return f"Partition({list(self.parts)})"
 
 
+def _partition(x) -> Partition:
+    """``x`` itself when it already is a Partition, so passing one builds none."""
+    return x if isinstance(x, Partition) else Partition(x)
+
+
+def _unchecked(parts: tuple) -> Partition:
+    """A Partition of ``parts``, already positive and weakly decreasing."""
+    lam = object.__new__(Partition)
+    lam.parts, lam.size, lam.length, lam._mults = parts, sum(parts), len(parts), None
+    return lam
+
+
 @dataclass(frozen=True)
 class MayaSet:
     """Half-integer profile coding of a partition.
@@ -130,10 +142,10 @@ def partitions_of(d: int) -> Iterator[Partition]:
     if d < 0:
         raise ValueError("d must be nonnegative")
     if d == 0:
-        yield Partition(())
+        yield _unchecked(())
         return
     cur = (d,)
-    yield Partition(cur)
+    yield _unchecked(cur)
     while True:
         i = len(cur) - 1
         while i >= 0 and cur[i] == 1:
@@ -149,7 +161,7 @@ def partitions_of(d: int) -> Iterator[Partition]:
             tail.append(t)
             rem -= t
         cur = head + tuple(tail)
-        yield Partition(cur)
+        yield _unchecked(cur)
 
 
 def enumerate_partitions(d_max: int) -> list[Partition]:
@@ -174,14 +186,14 @@ def z_mu(mu: Partition) -> int:
     class has size d!/z_mu.
     """
     z = 1
-    for k, m in Partition(mu).multiplicities.items():
+    for k, m in _partition(mu).multiplicities.items():
         z *= k**m * factorial(m)
     return z
 
 
 def class_size(mu: Partition) -> int:
     """Number of elements of cycle type ``mu`` in the symmetric group."""
-    mu = Partition(mu)
+    mu = _partition(mu)
     return factorial(mu.size) // z_mu(mu)
 
 

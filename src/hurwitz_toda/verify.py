@@ -8,7 +8,9 @@ are chosen so that every retained residual coefficient is exact:
 * products only couple q-degrees that sum inside the cap, and the series is
   exact at every q-degree up to its cap;
 * the substitution q -> e^{n beta} q feeds each beta order only from lower
-  ones, so it consumes no beta headroom;
+  ones, so it consumes no beta headroom, and it is a ring map: a product of
+  factors scaled by n and m equals the product scaled by n - m and 0,
+  scaled by m afterwards;
 * multiplying by e^{c beta} likewise feeds upward only.
 
 Hence every verifier checks the full (d_max, b_max) window it was given.
@@ -90,12 +92,14 @@ def toda_residual(tau: TruncatedSeries) -> TruncatedSeries:
     tau * d2 tau / dp1 dp'1 - (d tau/dp1)(d tau/dp'1)
         - q * tau(q -> e^beta q) * tau(q -> e^{-beta} q)
 
-    No division by tau is ever performed; the check stays in the ring.
+    No division by tau is ever performed; the check stays in the ring.  The
+    scaled product is formed as tau(e^{2 beta} q) * tau with q -> e^{-beta} q
+    applied afterwards, so only one factor is dense in beta.
     """
     d1 = tau.d_dp(1)
     d1p = tau.d_dp(1, prime=True)
     mixed = d1.d_dp(1, prime=True)
-    scaled = (tau.scale_q_exp(1) * tau.scale_q_exp(-1)).mul_q_power(1)
+    scaled = (tau.scale_q_exp(2) * tau).scale_q_exp(-1).mul_q_power(1)
     return tau * mixed - d1 * d1p - scaled
 
 
@@ -160,6 +164,12 @@ def _merge_shifts(*groups):
     return [(k, prime, terms) for (prime, k), terms in merged.items()]
 
 
+# (m, n_s, side) of the equations below that hold for every series, not only
+# for tau: a corrupted tau passes them, so their negative control is vacuous.
+IDENTITIES_OF_EVERY_SERIES = frozenset({(-1, 1, "p"), (-1, 1, "pprime"),
+                                        (0, 1, "p"), (0, 2, "p")})
+
+
 def verify_hirota(m: int, n_s: int, d_max: int, b_max: int, *,
                   side: str = "pprime",
                   corruption: Key | None = None,
@@ -180,6 +190,9 @@ def verify_hirota(m: int, n_s: int, d_max: int, b_max: int, *,
     second, and the exponential prefactor belongs to the family named by
     ``side``.  At m = 0 the first-order coefficient on the second-family
     side is twice the lowest-equation residual, monomial for monomial.
+
+    A ``corruption`` of one of the IDENTITIES_OF_EVERY_SERIES is refused
+    with ValueError: such a check would pass whatever tau held.
     """
     if m not in (-1, 0, 1) or n_s not in (1, 2, 3):
         raise ValueError("restricted Hirota scope")
@@ -187,6 +200,9 @@ def verify_hirota(m: int, n_s: int, d_max: int, b_max: int, *,
         raise ValueError("side must be 'p' or 'pprime'")
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
+    if corruption is not None and (m, n_s, side) in IDENTITIES_OF_EVERY_SERIES:
+        raise ValueError(f"hirota (m, n_s, side) = {(m, n_s, side)} holds for every series,"
+                         " so a corrupted tau cannot fail it")
     tau = _corrupted(build_tau(d_max, b_max, cache=cache), corruption)
     primed = side == "pprime"
 
@@ -203,7 +219,10 @@ def verify_hirota(m: int, n_s: int, d_max: int, b_max: int, *,
         )
         return lifted.scale_q_exp(scale).shift_p(shifts)
 
-    lhs = build(lhs_zmax, m + 1, +1, +1, True) * build(lhs_zmax, -1, -1, -1, True)
+    # the left factors' common q -> e^{-beta} q moves past the shifts, which
+    # keep q-degrees, and is applied to their product once
+    lhs = build(lhs_zmax, m + 2, +1, +1, True) * build(lhs_zmax, 0, -1, -1, True)
+    lhs = lhs.scale_q_exp(-1)
     rhs = build(rhs_zmax, m, +1, -1, False) * build(rhs_zmax, 0, -1, +1, False)
     left, right = lhs.extract_z(-1 - m), rhs.extract_z(m + 1)
     # [z^t] P (1 + c s z^{-n_s}) = [z^t] P + c s [z^{t+n_s}] P at first order in s

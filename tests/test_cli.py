@@ -138,6 +138,19 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == "error: d_max must be at least 1\n"
 
+    @pytest.mark.parametrize("case", [["-m", "-1", "--sn", "1", "--side", "p"],
+                                      ["-m", "-1", "--sn", "1"],
+                                      ["-m", "0", "--sn", "1", "--side", "p"],
+                                      ["-m", "0", "--sn", "2", "--side", "p"]])
+    def test_vacuous_hirota_control_refused(self, capsys, case):
+        # these equations hold for every series, so a corrupted tau would pass
+        code, out, _ = run(capsys, "verify", "hirota", *case, "--dmax", "5", "--bmax", "5")
+        assert code == 0 and out.startswith("PASS")
+        code, out, err = run(capsys, "verify", "hirota", *case, "--dmax", "5", "--bmax", "5",
+                             "--corrupt-test")
+        assert code == 2 and out == ""
+        assert "holds for every series" in err
+
     def test_specialized(self, capsys):
         code, out, _ = run(capsys, "verify", "toda-specialized", "--dmax", "4")
         assert code == 0 and out.startswith("PASS")

@@ -80,6 +80,14 @@ class TestCovBurnside:
                 assert cov_burnside(d, classes, cache=cache) == \
                     burnside_reference(d, classes, cache), (classes, cache)
 
+    def test_zero_dimension_drops_its_shape(self):
+        # a seeded dim of 0 zeroes that shape's term, as dim^2 does in the sum
+        zero = CharacterCache()
+        zero.seed(P((3,)), P((1, 1, 1)), 0)
+        assert cov_burnside(3, [], cache=zero) == F(4 + 1, 36)
+        # (2/6)^2 * 2 * (-1) / 2 + (1/6)^2 * 2 * 1 / 1 for the shapes (2, 1), (1, 1, 1)
+        assert cov_burnside(3, [P((3,))], cache=zero) == F(-1, 18)
+
     def test_transposition_wrapper_below_degree_two(self):
         assert cov_with_transpositions(1, P((1,)), P((1,)), 3) == 0
         assert cov_with_transpositions(1, P((1,)), P((1,)), 0) == 1

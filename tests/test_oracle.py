@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -65,6 +66,42 @@ def per_tuple_sweep(d, mu_parts, b):
         if mt.is_transitive():
             entry[1] += mult
     return counts
+
+
+def full_walk_sweep(d, mu_parts, b):
+    """oracle._sweep with every step a state walk: the last transposition is
+    composed and orbit-merged like the others, and each final state's
+    sigma_inf type is read from its product."""
+    mu = P(mu_parts)
+    sigma0 = class_representative(mu)
+    states = {(sigma0, oracle._orbit_labels(sigma0)): 1}
+    swaps = [(t, [k for k in range(d) if t[k] != k]) for t in all_transpositions(d)]
+    for _ in range(b):
+        reached = {}
+        for (p, labels), n in states.items():
+            for t, (i, j) in swaps:
+                a, c = labels[i], labels[j]
+                merged = labels
+                if a != c:
+                    lo, hi = (a, c) if a < c else (c, a)
+                    merged = tuple(lo if x == hi else x for x in labels)
+                key = (compose(p, t), merged)
+                reached[key] = reached.get(key, 0) + n
+        states = reached
+    mult = class_size(mu)
+    counts = {}
+    for (p, labels), n in states.items():
+        entry = counts.setdefault(cycle_type(inverse(p)).parts, [0, 0])
+        entry[0] += n * mult
+        if len(set(labels)) == 1:
+            entry[1] += n * mult
+    return counts
+
+
+def merged_labels(labels, i, j):
+    """Orbit labels after the orbits through i and j join."""
+    lo, hi = sorted((labels[i], labels[j]))
+    return tuple(lo if x == hi else x for x in labels)
 
 
 class TestPermutations:
@@ -171,6 +208,40 @@ class TestStateWalk:
                 want = per_tuple_sweep(d, mu.parts, b)
                 assert oracle._sweep(d, mu.parts, b) == want, (d, mu, b)
                 assert sum(n for n, _ in want.values()) == class_size(mu) * (d * (d - 1) // 2) ** b
+
+    @pytest.mark.parametrize("d,b_max", [(1, 5), (2, 5), (3, 5), (4, 5), (5, 5), (6, 4)])
+    def test_same_counts_as_full_walk(self, d, b_max):
+        for mu in partitions_of(d):
+            for b in range(b_max + 1):
+                assert oracle._sweep(d, mu.parts, b) == full_walk_sweep(d, mu.parts, b), (d, mu, b)
+
+    def test_last_step_against_composition(self):
+        # every transposition t of random states (p, orbits), d <= 8: the
+        # join/split counts equal the cycle types of p t, and the transitive
+        # ones equal the t after which the orbits are one
+        rng = random.Random(8)
+        seen_orbit_counts = set()
+        for _ in range(300):
+            d = rng.randint(1, 8)
+            p = tuple(rng.sample(range(d), d))
+            labels = oracle._orbit_labels(p)
+            for _ in range(rng.randint(0, d)):
+                labels = merged_labels(labels, rng.randrange(d), rng.randrange(d))
+            seen_orbit_counts.add(min(len(set(labels)), 3))
+            want = {}
+            for t in all_transpositions(d):
+                i, j = (k for k in range(d) if t[k] != k)
+                entry = want.setdefault(cycle_type(compose(p, t)).parts, [0, 0])
+                entry[0] += 1
+                entry[1] += len(set(merged_labels(labels, i, j))) == 1
+            assert oracle._last_step(oracle._orbit_cycles(p, labels)) == want, (p, labels)
+        assert seen_orbit_counts == {1, 2, 3}
+
+    def test_orbit_cycles(self):
+        # orbits {0, 1, 2} and {3, 4, 5}; p has cycles (0 1), (2), (3 4 5)
+        p, labels = (1, 0, 2, 4, 5, 3), (0, 0, 0, 3, 3, 3)
+        assert oracle._orbit_cycles(p, labels) == ((1, 2), (3,))
+        assert oracle._orbit_cycles(identity_perm(3), (0, 1, 2)) == ((1,), (1,), (1,))
 
     def test_orbit_labels_are_smallest_points(self):
         assert oracle._orbit_labels((1, 2, 0, 4, 3, 5)) == (0, 0, 0, 3, 3, 5)

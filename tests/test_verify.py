@@ -85,7 +85,8 @@ HIROTA_CASES = [(m, n_s, side) for m in (-1, 0, 1) for n_s in (1, 2, 3)
                 for side in ("p", "pprime")]
 
 # These four equations hold for every series, not only for tau (checked on a
-# random series below), so no corruption of tau can make them fail.
+# random series below), so no corruption of tau can make them fail, and
+# verify_hirota refuses to run them corrupted.
 IDENTITIES_OF_EVERY_SERIES = {(-1, 1, "p"), (-1, 1, "pprime"), (0, 1, "p"), (0, 2, "p")}
 
 
@@ -97,10 +98,12 @@ class TestHirota:
 
     @pytest.mark.parametrize("m, n_s, side", HIROTA_CASES)
     def test_corruption_at_five(self, m, n_s, side):
-        report = verify_hirota(m, n_s, 5, 5, side=side, corruption=CORRUPTIONS[0])
         if (m, n_s, side) in IDENTITIES_OF_EVERY_SERIES:
-            assert report.passed
+            for key in CORRUPTIONS:
+                with pytest.raises(ValueError, match="holds for every series"):
+                    verify_hirota(m, n_s, 5, 5, side=side, corruption=key)
         else:
+            report = verify_hirota(m, n_s, 5, 5, side=side, corruption=CORRUPTIONS[0])
             assert not report.passed and report.first_failure is not None
 
     def test_identities_of_every_series(self, monkeypatch):
@@ -116,7 +119,7 @@ class TestHirota:
         monkeypatch.setattr(verify_module, "build_tau", lambda d_max, b_max, cache=None: series)
         passed = {case for case in HIROTA_CASES
                   if verify_hirota(case[0], case[1], 4, 3, side=case[2]).passed}
-        assert passed == IDENTITIES_OF_EVERY_SERIES
+        assert passed == IDENTITIES_OF_EVERY_SERIES == verify_module.IDENTITIES_OF_EVERY_SERIES
 
     @pytest.mark.parametrize("m", [-1, 0, 1])
     @pytest.mark.parametrize("n_s", [1, 2])
