@@ -11,19 +11,21 @@ times, with ``time.perf_counter`` in this one process:
 
     build_tau     tau assembly from a cold character cache
     log           tau.log()
-    scale_q_exp   tau.scale_q_exp(2)
+    scale_q_exp   tau.scale_q_exp(2), as Hirota's m = 0 left factor uses it
     d_dp          dtau/dp1, dtau/dp'1 and d2tau/dp1dp'1, toda_residual's
                   three derivatives
-    scaled        tau(e^2beta q) * tau, then q -> e^-beta q   \\
-    tau_mixed     tau * d2tau/dp1dp'1                          > toda_residual's
-    d1_d1p        (dtau/dp1)(dtau/dp'1)                       /  products, in its order
+    scaled        tau(e^beta q) tau(e^-beta q) at cap d_max - 1, by
+                  balanced_square
+    tau_mixed     tau * d2tau/dp1dp'1
+    d1_d1p        (dtau/dp1)(dtau/dp'1)
     hirota_shift  the four shift_p calls of verify_hirota(0, 1), on their
-                  lifted, q-scaled inputs
+                  lifted, q-scaled inputs (the left two at cap d_max - 1)
     extract_z     the z-extractions of verify_hirota(0, 1), prefactor
                   included, from the products of the shifted factors
 
 with the term count of each result, and exits nonzero unless the Toda
-residual vanishes.
+residual vanishes.  scaled, tau_mixed and d1_d1p are toda_residual's three
+products, in its order.
 For each oracle order it times the two stages of ``compare`` that do not
 build series:
 
@@ -60,25 +62,27 @@ def stages(ht, d_max: int, b_max: int) -> dict:
     cache = ht.CharacterCache()
     (tau,) = timed("build_tau", lambda: [ht.build_tau(d_max, b_max, cache=cache)])
     timed("log", lambda: [tau.log()])
-    (up,) = timed("scale_q_exp", lambda: [tau.scale_q_exp(2)])
+    timed("scale_q_exp", lambda: [tau.scale_q_exp(2)])
     d1, d1p, mixed = timed("d_dp", lambda: [
         d1 := tau.d_dp(1), tau.d_dp(1, prime=True), d1.d_dp(1, prime=True)])
-    (scaled,) = timed("scaled", lambda: [(up * tau).scale_q_exp(-1)])
+    (scaled,) = timed("scaled", lambda: [tau.with_caps(d_max=d_max - 1).balanced_square()])
     (tau_mixed,) = timed("tau_mixed", lambda: [tau * mixed])
     (d1_d1p,) = timed("d1_d1p", lambda: [d1 * d1p])
-    if not (tau_mixed - d1_d1p - scaled.mul_q_power(1)).is_zero():
+    if not (tau_mixed - d1_d1p - scaled.with_caps(d_max=d_max).mul_q_power(1)).is_zero():
         raise SystemExit(f"toda residual nonzero at ({d_max}, {b_max})")
 
-    # verify_hirota's four factors at m = 0, n_s = 1, side pprime: (z_max,
-    # q-scaling, sign of s, sign of the z-vector, z-vector on the primed family)
-    factors = [(0, 2, 1, 1, True), (0, 0, -1, -1, True), (1, 0, 1, -1, False),
-               (1, 0, -1, 1, False)]
-    inputs = [(tau.with_caps(z_max=z_max, s_max=1).scale_q_exp(scale),
-               ht.verify._merge_shifts(ht.verify._zvec_shifts(zv, zv_prime, d_max),
+    # verify_hirota's four factors at m = 0, n_s = 1, side pprime: (q cap,
+    # z_max, q-scaling, sign of s, sign of the z-vector, z-vector on the
+    # primed family)
+    low = d_max - 1
+    factors = [(low, 0, 2, 1, 1, True), (low, 0, 0, -1, -1, True),
+               (d_max, 1, 0, 1, -1, False), (d_max, 1, 0, -1, 1, False)]
+    inputs = [(tau.with_caps(d_max=cap, z_max=z_max, s_max=1).scale_q_exp(scale),
+               ht.verify._merge_shifts(ht.verify._zvec_shifts(zv, zv_prime, cap),
                                        [(1, True, [ht.ShiftTerm(s_sign, s_degree=1)])]))
-              for z_max, scale, s_sign, zv, zv_prime in factors]
+              for cap, z_max, scale, s_sign, zv, zv_prime in factors]
     a, b, c, d = timed("hirota_shift", lambda: [x.shift_p(sh) for x, sh in inputs])
-    lhs, rhs = (a * b).scale_q_exp(-1), c * d
+    lhs, rhs = (a * b).scale_q_exp(-1).with_caps(d_max=d_max), c * d
     # the prefactor 1 - 2 s z^-1 on the left: [z^-1] lhs is empty, so it reads s [z^0]
     timed("extract_z", lambda: [lhs.extract_z(-1) + lhs.extract_z(0).mul_aux_monomial(-2, ds=1),
                                 rhs.extract_z(1)])

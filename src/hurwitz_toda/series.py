@@ -253,6 +253,40 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
+    def balanced_square(self) -> "TruncatedSeries":
+        """f(e^beta q) * f(e^{-beta} q) at these caps, from the q-degree blocks f_a of f.
+
+        The blocks (a, b) and (b, a) of the product sum to
+        2 cosh((b - a) beta) f_a f_b, so only the pairs a <= b with
+        a + b <= d_max are multiplied, on f's own beta-vectors.  Each block
+        with c = b - a > 0 is then convolved with 2 cosh(c beta), the sum
+        over even j of 2 c^j beta^j / j!; over B! with B = b_max its weights
+        are the integers 2 c^j (B!/j!), so the result sits over den^2 B!.
+        """
+        d_max, b_max, caps = self.d_max, self.b_max, self._caps()
+        top = factorial(b_max)
+        groups = _grouped(self._nums)
+        merged: dict = {}
+        out: dict = {}
+        for c in range(d_max + 1):
+            acc: dict = {}
+            for a in range((d_max - c) // 2 + 1):
+                if a in groups and a + c in groups:
+                    _mul_groups(acc, {a: groups[a]}, {a + c: groups[a + c]}, caps, merged)
+            # weights of beta^0, beta^2, beta^4, ...; reach[b] pairs each with
+            # the beta-degree it carries a term at beta^b to
+            weights = [2 * c ** j * (top // factorial(j)) for j in range(0, b_max + 1, 2)] if c else [top]
+            reach = [list(zip(range(b, b_max + 1, 2), weights)) for b in range(b_max + 1)]
+            for gkey, vec in acc.items():
+                target = out.get(gkey)
+                if target is None:
+                    target = out[gkey] = [0] * (b_max + 1)
+                for b, x in enumerate(vec):
+                    if x:
+                        for j, w in reach[b]:
+                            target[j] += x * w
+        return self._same_caps(dict(_flat(out)), self._den * self._den * top)
+
     # -- analytic operations (finite under truncation) -------------------------
 
     def exp(self) -> "TruncatedSeries":

@@ -11,7 +11,11 @@ are chosen so that every retained residual coefficient is exact:
   ones, so it consumes no beta headroom, and it is a ring map: a product of
   factors scaled by n and m equals the product scaled by n - m and 0,
   scaled by m afterwards;
-* multiplying by e^{c beta} likewise feeds upward only.
+* multiplying by e^{c beta} likewise feeds upward only;
+* tau(e^beta q) tau(e^{-beta} q) is tau's balanced square, built from its
+  own beta-sparse q-degree blocks, so no factor is ever dense in beta;
+* a product that is multiplied by q^j afterwards loses its top j degrees,
+  so it is formed with its factors capped at d_max - j and lifted back.
 
 Hence every verifier checks the full (d_max, b_max) window it was given.
 """
@@ -93,14 +97,15 @@ def toda_residual(tau: TruncatedSeries) -> TruncatedSeries:
         - q * tau(q -> e^beta q) * tau(q -> e^{-beta} q)
 
     No division by tau is ever performed; the check stays in the ring.  The
-    scaled product is formed as tau(e^{2 beta} q) * tau with q -> e^{-beta} q
-    applied afterwards, so only one factor is dense in beta.
+    scaled product is tau's balanced square, which multiplies tau's own
+    beta-sparse q-degree blocks, so no factor is dense in beta.  It is
+    formed at cap d_max - 1, since the factor q drops its top degree.
     """
     d1 = tau.d_dp(1)
     d1p = tau.d_dp(1, prime=True)
     mixed = d1.d_dp(1, prime=True)
-    scaled = (tau.scale_q_exp(2) * tau).scale_q_exp(-1).mul_q_power(1)
-    return tau * mixed - d1 * d1p - scaled
+    square = tau.with_caps(d_max=tau.d_max - 1).balanced_square()
+    return tau * mixed - d1 * d1p - square.with_caps(d_max=tau.d_max).mul_q_power(1)
 
 
 def verify_toda(d_max: int, b_max: int, *,
@@ -133,20 +138,26 @@ def verify_tau_n(n: int, d_max: int, b_max: int, *,
         raise ValueError("d_max must be at least 1")
     tau = _corrupted(build_tau(d_max, b_max, cache=cache), corruption)
 
+    def exponent(k: int) -> Fraction:
+        return Fraction(k * (4 * k * k - 1), 24)
+
     def shift(series: TruncatedSeries, k: int) -> TruncatedSeries:
-        return series.scale_q_exp(k).mul_exp_beta(Fraction(k * (4 * k * k - 1), 24))
+        return series.scale_q_exp(k).mul_exp_beta(exponent(k))
 
     t_n = shift(tau, n)
     d1 = t_n.d_dp(1)
+    # T_{n+1} T_{n-1} is tau's balanced square under q -> e^{n beta} q, times
+    # the two prefactors; q drops its top degree, so it is formed below it
+    square = tau.with_caps(d_max=d_max - 1).balanced_square()
+    neighbours = square.scale_q_exp(n).mul_exp_beta(exponent(n + 1) + exponent(n - 1))
     lattice = (t_n * d1.d_dp(1, prime=True) - d1 * t_n.d_dp(1, prime=True)
-               - (shift(tau, n + 1) * shift(tau, n - 1)).mul_q_power(1))
+               - neighbours.with_caps(d_max=d_max).mul_q_power(1))
     residual = shift(t_n, -n) - tau + lattice
-    exponent = Fraction(n * (4 * n * n - 1), 24)
     return _report(
         "tau-n",
         {"n": n, "d_max": d_max, "b_max": b_max},
         residual,
-        notes={"prefactor_beta_exponent": exponent},
+        notes={"prefactor_beta_exponent": exponent(n)},
     )
 
 
@@ -211,19 +222,22 @@ def verify_hirota(m: int, n_s: int, d_max: int, b_max: int, *,
     lhs_zmax = max(0, (n_s if primed else 0) - 1 - m)
     rhs_zmax = m + 1 + (n_s if not primed else 0)
 
-    def build(zmax: int, scale: int, s_sign: int, zv_sign: int, zv_prime: bool):
-        lifted = tau.with_caps(z_max=zmax, s_max=1)
+    def build(dmax: int, zmax: int, scale: int, s_sign: int, zv_sign: int, zv_prime: bool):
+        lifted = tau.with_caps(d_max=dmax, z_max=zmax, s_max=1)
         shifts = _merge_shifts(
-            _zvec_shifts(zv_sign, zv_prime, tau.d_max),
+            _zvec_shifts(zv_sign, zv_prime, dmax),
             [(n_s, primed, [ShiftTerm(Fraction(s_sign), s_degree=1)])],
         )
         return lifted.scale_q_exp(scale).shift_p(shifts)
 
     # the left factors' common q -> e^{-beta} q moves past the shifts, which
-    # keep q-degrees, and is applied to their product once
-    lhs = build(lhs_zmax, m + 2, +1, +1, True) * build(lhs_zmax, 0, -1, -1, True)
-    lhs = lhs.scale_q_exp(-1)
-    rhs = build(rhs_zmax, m, +1, -1, False) * build(rhs_zmax, 0, -1, +1, False)
+    # keep q-degrees, and is applied to their product once; q^{m+1} drops the
+    # product's top m + 1 degrees, so its factors are built below them
+    lhs_dmax = max(0, d_max - m - 1)
+    lhs = (build(lhs_dmax, lhs_zmax, m + 2, +1, +1, True)
+           * build(lhs_dmax, lhs_zmax, 0, -1, -1, True))
+    lhs = lhs.scale_q_exp(-1).with_caps(d_max=d_max)
+    rhs = build(d_max, rhs_zmax, m, +1, -1, False) * build(d_max, rhs_zmax, 0, -1, +1, False)
     left, right = lhs.extract_z(-1 - m), rhs.extract_z(m + 1)
     # [z^t] P (1 + c s z^{-n_s}) = [z^t] P + c s [z^{t+n_s}] P at first order in s
     if primed:

@@ -380,6 +380,66 @@ class TestScaleQExp:
         assert tau.mul_exp_beta(F(1, 8)).mul_exp_beta(F(-1, 8)) == tau
 
 
+def square_reference(x):
+    return x.scale_q_exp(1) * x.scale_q_exp(-1)
+
+
+class TestBalancedSquare:
+    """f.balanced_square() is f(e^beta q) * f(e^{-beta} q)."""
+
+    @pytest.mark.parametrize("d_max, b_max", [(0, 3), (1, 0), (1, 3), (2, 5), (4, 4), (6, 5)])
+    def test_tau(self, d_max, b_max):
+        tau = build_tau(d_max, b_max)
+        assert tau.balanced_square() == square_reference(tau)
+
+    def test_corrupted_tau(self):
+        tau = build_tau(5, 5)
+        key = make_key(dq=2, b=1, mu=(2,), nu=(1, 1))
+        bad = tau.with_coefficient(key, tau.coefficient(key) + 1)
+        assert bad.balanced_square() == square_reference(bad)
+        assert bad.balanced_square() != tau.balanced_square()
+
+    def test_random(self):
+        # both beta parities in one (mu, nu) row, mu != nu, rational coefficients
+        rng = random.Random(1212)
+        for _ in range(30):
+            x = random_series(rng, d_max=rng.randint(0, 5), b_max=rng.randint(0, 6),
+                              n_terms=10, constant=rng.choice([None, 0, F(-3, 2)]))
+            assert x.balanced_square() == square_reference(x)
+
+    def test_random_with_aux_symbols(self):
+        rng = random.Random(4343)
+        for _ in range(30):
+            x = random_aux_series(rng, d_max=4, b_max=rng.randint(0, 5), n_terms=12,
+                                  z_max=rng.randint(0, 3))
+            assert x.balanced_square() == square_reference(x)
+
+    def test_single_pair(self):
+        # q p1 p'1 + q^2 p2 p'2: squares at c = 0, the cross pair weighted 2 cosh(beta)
+        x = series(3, 4, [(make_key(dq=1, mu=(1,), nu=(1,)), F(1)),
+                          (make_key(dq=2, mu=(2,), nu=(2,)), F(1))])
+        got = x.balanced_square()
+        assert got.coefficient(make_key(dq=2, mu=(1, 1), nu=(1, 1))) == 1
+        for b in range(5):
+            want = F(2, factorial(b)) if b % 2 == 0 else 0
+            assert got.coefficient(make_key(dq=3, b=b, mu=(2, 1), nu=(2, 1))) == want
+        assert len(got) == 4
+
+    def test_multiplies_only_half_the_block_pairs(self, monkeypatch):
+        import hurwitz_toda.series as series_module
+        kernel = series_module._mul_groups
+        pairs = []
+
+        def recorded(acc, a, b, *rest):
+            pairs.extend((da, db) for da in a for db in b)
+            return kernel(acc, a, b, *rest)
+
+        monkeypatch.setattr(series_module, "_mul_groups", recorded)
+        tau = build_tau(6, 3)
+        tau.balanced_square()
+        assert sorted(pairs) == [(a, b) for a in range(7) for b in range(a, 7 - a)]
+
+
 class TestShifts:
     def test_zero_shift_is_identity(self):
         tau = build_tau(3, 2)

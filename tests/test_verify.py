@@ -52,6 +52,57 @@ class TestToda:
             verify_toda(0, 2)
 
 
+def reference_toda_residual(tau):
+    """The lowest equation's residual with the scaled product formed whole."""
+    d1 = tau.d_dp(1)
+    d1p = tau.d_dp(1, prime=True)
+    mixed = d1.d_dp(1, prime=True)
+    scaled = (tau.scale_q_exp(2) * tau).scale_q_exp(-1).mul_q_power(1)
+    return tau * mixed - d1 * d1p - scaled
+
+
+def reference_tau_n_residual(tau, n):
+    """verify_tau_n's residual with T_{n+1} T_{n-1} multiplied out whole."""
+    def shift(series, k):
+        return series.scale_q_exp(k).mul_exp_beta(F(k * (4 * k * k - 1), 24))
+
+    t_n = shift(tau, n)
+    d1 = t_n.d_dp(1)
+    lattice = (t_n * d1.d_dp(1, prime=True) - d1 * t_n.d_dp(1, prime=True)
+               - (shift(tau, n + 1) * shift(tau, n - 1)).mul_q_power(1))
+    return shift(t_n, -n) - tau + lattice
+
+
+def corrupted(tau, key):
+    return tau.with_coefficient(key, tau.coefficient(key) + 1)
+
+
+class TestAgainstWholeProducts:
+    """The residuals equal those with the scaled products formed whole."""
+
+    def test_toda_every_key_at_four(self):
+        tau = build_tau(4, 4)
+        assert toda_residual(tau) == reference_toda_residual(tau)
+        for key in tau.keys():
+            bad = corrupted(tau, key)
+            assert verify_toda(4, 4, corruption=key).residual == reference_toda_residual(bad)
+
+    def test_toda_sampled_keys_at_eight(self):
+        tau = build_tau(8, 8)
+        assert toda_residual(tau) == reference_toda_residual(tau)
+        for key in random.Random(8).sample(sorted(tau.keys()), 4):
+            bad = corrupted(tau, key)
+            assert toda_residual(bad) == reference_toda_residual(bad)
+
+    @pytest.mark.parametrize("n", [-3, -2, -1, 0, 1, 2, 3])
+    def test_tau_n(self, n):
+        tau = build_tau(5, 5)
+        assert verify_tau_n(n, 5, 5).residual == reference_tau_n_residual(tau, n)
+        for key in random.Random(n).sample(sorted(tau.keys()), 3):
+            report = verify_tau_n(n, 5, 5, corruption=key)
+            assert report.residual == reference_tau_n_residual(corrupted(tau, key), n)
+
+
 class TestTauN:
     @pytest.mark.parametrize("n", [-3, -1, 0, 1, 2, 3])
     def test_round_trip(self, n):
@@ -127,6 +178,12 @@ class TestHirota:
     def test_residual_zero(self, m, n_s, side):
         report = verify_hirota(m, n_s, 3, 3, side=side)
         assert report.passed, report.first_failure
+
+    @pytest.mark.parametrize("m", [-1, 0, 1])
+    def test_smallest_box(self, m):
+        # at m = 1 the left product's cap d_max - m - 1 would be negative
+        for side in ("p", "pprime"):
+            assert verify_hirota(m, 3, 1, 1, side=side).passed
 
     def test_third_perturbation_index(self):
         assert verify_hirota(0, 3, 3, 3).passed
