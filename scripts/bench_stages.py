@@ -6,8 +6,10 @@ as recorded in the BENCH_*.json files.
                                     [--oracle 6,4 6,5]
 
 Imports ``hurwitz_toda`` from DIR (default: ``src/`` of this checkout), so
-the same script times any other checkout.  For each order (d_max, b_max) it
-times, with ``time.perf_counter`` in this one process:
+the same script times any other checkout whose ``verify`` has
+``_factor_shifts``; an older checkout is timed by its own copy of the
+script.  For each order (d_max, b_max) it times, with ``time.perf_counter``
+in this one process:
 
     build_tau     tau assembly from a cold character cache
     log           tau.log()
@@ -72,14 +74,13 @@ def stages(ht, d_max: int, b_max: int) -> dict:
         raise SystemExit(f"toda residual nonzero at ({d_max}, {b_max})")
 
     # verify_hirota's four factors at m = 0, n_s = 1, side pprime: (q cap,
-    # z_max, q-scaling, sign of s, sign of the z-vector, z-vector on the
-    # primed family)
+    # top z power read, q-scaling, sign of s, sign of the z-vector, z-vector
+    # on the primed family), with their shifts from verify's own builder
     low = d_max - 1
     factors = [(low, 0, 2, 1, 1, True), (low, 0, 0, -1, -1, True),
                (d_max, 1, 0, 1, -1, False), (d_max, 1, 0, -1, 1, False)]
     inputs = [(tau.with_caps(d_max=cap, z_max=z_max, s_max=1).scale_q_exp(scale),
-               ht.verify._merge_shifts(ht.verify._zvec_shifts(zv, zv_prime, cap),
-                                       [(1, True, [ht.ShiftTerm(s_sign, s_degree=1)])]))
+               ht.verify._factor_shifts(1, True, s_sign, zv, zv_prime, cap))
               for cap, z_max, scale, s_sign, zv, zv_prime in factors]
     a, b, c, d = timed("hirota_shift", lambda: [x.shift_p(sh) for x, sh in inputs])
     lhs, rhs = (a * b).scale_q_exp(-1).with_caps(d_max=d_max), c * d

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd, lcm
 from typing import Callable, Iterable, Iterator
 
 Key = tuple[int, int, tuple, tuple, int, int]
@@ -421,46 +421,50 @@ class TruncatedSeries:
 
         Each entry of ``shifts`` is (k, prime, terms) with ``terms`` the
         summands of delta_k; each is at most first order in the perturbation
-        symbol, has a nonnegative z power and an integer coefficient, so the
-        multinomial expansion runs in integers.  The image of a key depends
-        only on its tail (mu, nu, z, s), so each distinct tail is expanded
-        once per call.  Shifts raise z and s only, so an expansion stops as
-        soon as it leaves the room below z_max and s_max.
+        symbol, has a nonnegative z power and an integer coefficient.  The
+        image of a key depends only on its tail (mu, nu, z, s), so each
+        distinct tail is expanded once per call, one part at a time through
+        mu and then nu: a part is kept or replaced by one of its shift
+        terms, and equal partial images add their integer factors, which
+        forms the multinomial counts.  Shifts raise z and s only, so a branch
+        is dropped as soon as it leaves the room below z_max and s_max.
         """
-        smap: dict[tuple[bool, int], tuple[ShiftTerm, ...]] = {}
+        smap: dict[tuple[bool, int], tuple[tuple[int, int, int], ...]] = {}
         for k, prime, terms in shifts:
             terms = tuple(terms)
             if (bool(prime), int(k)) in smap:
                 raise ValueError(f"duplicate shift for variable ({k}, prime={prime})")
-            smap[(bool(prime), int(k))] = terms
+            smap[(bool(prime), int(k))] = tuple((t.z_power, t.s_degree, t.coeff) for t in terms)
         if not smap:
             return self
 
-        def pattern_images(pattern: tuple, prime: bool, z_room: int, s_room: int) -> list:
-            # (kept parts, dz, ds, factor); distinct parts come in decreasing
-            # order, so the kept parts are already a canonical pattern
-            options = [((), 0, 0, 1)]
-            for k in dict.fromkeys(pattern):
-                power = _power_expansions(pattern.count(k), smap.get((prime, k), ()),
-                                          z_room, s_room)
-                options = [(kept + (k,) * a0, dz + tdz, ds + tds, f * g)
-                           for kept, dz, ds, f in options
-                           for a0, g, tdz, tds in power
-                           if dz + tdz <= z_room and ds + tds <= s_room]
-            return options
-
+        z_max, s_max = self.z_max, self.s_max
         images: dict[tuple, list] = {}
         acc: dict[Key, int] = {}
         for key, x in self._nums.items():
             tail = key[2:]
             image = images.get(tail)
             if image is None:
-                mu, nu, z, s = tail
-                z_room, s_room = self.z_max - z, self.s_max - s
+                # a partial image is named by the parts replaced so far, in
+                # the decreasing order they come in, with its z and s: keeping
+                # a part leaves it as it is
+                mu, nu = tail[:2]
+                partial = {((), ()) + tail[2:]: 1}
+                for prime, k in [(False, k) for k in mu] + [(True, k) for k in nu]:
+                    terms = smap.get((prime, k))
+                    if not terms:
+                        continue
+                    grown = dict(partial)
+                    for (gone_mu, gone_nu, z, s), f in partial.items():
+                        for dz, ds, c in terms:
+                            if z + dz <= z_max and s + ds <= s_max:
+                                branch = ((gone_mu, gone_nu + (k,)) if prime
+                                          else (gone_mu + (k,), gone_nu)) + (z + dz, s + ds)
+                                grown[branch] = grown.get(branch, 0) + f * c
+                    partial = grown
                 image = images[tail] = [
-                    ((mu2, nu2, z + dz1 + dz2, s + ds1 + ds2), f1 * f2)
-                    for mu2, dz1, ds1, f1 in pattern_images(mu, False, z_room, s_room)
-                    for nu2, dz2, ds2, f2 in pattern_images(nu, True, z_room - dz1, s_room - ds1)]
+                    ((_without(mu, gone_mu), _without(nu, gone_nu), z, s), f)
+                    for (gone_mu, gone_nu, z, s), f in partial.items()]
             for new_tail, f in image:
                 new_key = key[:2] + new_tail
                 acc[new_key] = acc.get(new_key, 0) + x * f
@@ -597,25 +601,11 @@ def _flat(acc: dict) -> Iterator[tuple[Key, int]]:
                 yield (dq, b, mu, nu, z, s), x
 
 
-def _power_expansions(e: int, terms: tuple[ShiftTerm, ...], z_room: int, s_room: int) -> list:
-    """Expand (p + t_1 + ... + t_r)^e into (kept power, factor, dz, ds) entries.
-
-    One entry per choice of exponents (a_1, ..., a_r) with sum <= e,
-    dz <= z_room and ds <= s_room: the retained power a_0 = e - sum(a_i),
-    the multinomial factor times prod coeff_i^{a_i} (an integer), and the
-    accumulated z and s exponents.  Term exponents are nonnegative, so a
-    choice past the room is never extended.
-    """
-    out = [(e, 1, 0, 0)]
-    for t in terms:
-        grown = []
-        for rem, factor, dz, ds in out:
-            cpow = 1
-            for a in range(rem + 1):
-                tdz, tds = dz + a * t.z_power, ds + a * t.s_degree
-                if tdz > z_room or tds > s_room:
-                    break
-                grown.append((rem - a, factor * comb(rem, a) * cpow, tdz, tds))
-                cpow *= t.coeff
-        out = grown
-    return out
+def _without(pattern: tuple, gone: tuple) -> tuple:
+    """A decreasing pattern with the parts of its sub-multiset ``gone`` removed."""
+    if not gone:
+        return pattern
+    rest = list(pattern)
+    for part in gone:
+        rest.remove(part)
+    return tuple(rest)

@@ -15,9 +15,14 @@ are chosen so that every retained residual coefficient is exact:
 * tau(e^beta q) tau(e^{-beta} q) is tau's balanced square, built from its
   own beta-sparse q-degree blocks, so no factor is ever dense in beta;
 * a product that is multiplied by q^j afterwards loses its top j degrees,
-  so it is formed with its factors capped at d_max - j and lifted back.
+  so it is formed with its factors capped at d_max - j and lifted back;
+* shifts raise z only, so a product of shifted factors is formed with z up
+  to the highest power read from it, and one whose every read power is
+  negative is zero and never formed.
 
 Hence every verifier checks the full (d_max, b_max) window it was given.
+A Hirota check on a corrupted series whose residual is zero is refused, as
+a negative control that cannot fail shows nothing.
 """
 
 from __future__ import annotations
@@ -90,22 +95,40 @@ def _corrupted(tau: TruncatedSeries, corruption: Key | None) -> TruncatedSeries:
     return tau.with_coefficient(corruption, tau.coefficient(corruption) + 1)
 
 
+def _charge_exponent(k: int) -> Fraction:
+    """beta exponent k(4k^2 - 1)/24 of the charge-k prefactor."""
+    return Fraction(k * (4 * k * k - 1), 24)
+
+
+def _lattice(tau: TruncatedSeries, n: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """T_n and the bilinear residual of the lattice equation at site n.
+
+    With T_k = e^{k(4k^2-1) beta/24} tau(e^{k beta} q), the residual is
+
+        T_n d2 T_n / dp1 dp'1 - (d T_n/dp1)(d T_n/dp'1) - q T_{n+1} T_{n-1}.
+
+    No division by tau is ever performed; the check stays in the ring.
+    T_{n+1} T_{n-1} is tau's balanced square, which multiplies tau's own
+    beta-sparse q-degree blocks, mapped by q -> e^{n beta} q and times both
+    prefactors.  It is formed at cap d_max - 1, since the factor q drops
+    its top degree.  At n = 0 every map is the identity and T_0 is tau.
+    """
+    t_n = tau.scale_q_exp(n).mul_exp_beta(_charge_exponent(n))
+    square = tau.with_caps(d_max=tau.d_max - 1).balanced_square()
+    neighbours = square.scale_q_exp(n).mul_exp_beta(_charge_exponent(n + 1)
+                                                     + _charge_exponent(n - 1))
+    d1 = t_n.d_dp(1)
+    return t_n, (t_n * d1.d_dp(1, prime=True) - d1 * t_n.d_dp(1, prime=True)
+                 - neighbours.with_caps(d_max=tau.d_max).mul_q_power(1))
+
+
 def toda_residual(tau: TruncatedSeries) -> TruncatedSeries:
-    """Bilinear residual of the lowest lattice equation.
+    """Bilinear residual of the lowest lattice equation, the one at site 0:
 
     tau * d2 tau / dp1 dp'1 - (d tau/dp1)(d tau/dp'1)
         - q * tau(q -> e^beta q) * tau(q -> e^{-beta} q)
-
-    No division by tau is ever performed; the check stays in the ring.  The
-    scaled product is tau's balanced square, which multiplies tau's own
-    beta-sparse q-degree blocks, so no factor is dense in beta.  It is
-    formed at cap d_max - 1, since the factor q drops its top degree.
     """
-    d1 = tau.d_dp(1)
-    d1p = tau.d_dp(1, prime=True)
-    mixed = d1.d_dp(1, prime=True)
-    square = tau.with_caps(d_max=tau.d_max - 1).balanced_square()
-    return tau * mixed - d1 * d1p - square.with_caps(d_max=tau.d_max).mul_q_power(1)
+    return _lattice(tau, 0)[1]
 
 
 def verify_toda(d_max: int, b_max: int, *,
@@ -125,54 +148,37 @@ def verify_tau_n(n: int, d_max: int, b_max: int, *,
     """Check the lattice equation at site n of T_n = e^{n(4n^2-1) beta/24} tau(e^{n beta} q).
 
     T_n is the charge-n tau function without its q^{n^2/2} prefactor, a
-    formal marker outside the ring.  Those prefactors cancel exactly in
-
-        T_n d2 T_n / dp1 dp'1 - (d T_n/dp1)(d T_n/dp'1) - q T_{n+1} T_{n-1},
-
-    which must vanish.  The residual adds the round trip T_n -> tau under
-    the map with -n, which must be the identity.
+    formal marker outside the ring.  Those prefactors cancel exactly in the
+    lattice equation at site n, whose residual must vanish.  The residual
+    adds the round trip T_n -> tau under the map with -n, which must be the
+    identity.
     """
     if abs(n) > 3:
         raise ValueError("charge shift restricted to |n| <= 3")
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     tau = _corrupted(build_tau(d_max, b_max, cache=cache), corruption)
-
-    def exponent(k: int) -> Fraction:
-        return Fraction(k * (4 * k * k - 1), 24)
-
-    def shift(series: TruncatedSeries, k: int) -> TruncatedSeries:
-        return series.scale_q_exp(k).mul_exp_beta(exponent(k))
-
-    t_n = shift(tau, n)
-    d1 = t_n.d_dp(1)
-    # T_{n+1} T_{n-1} is tau's balanced square under q -> e^{n beta} q, times
-    # the two prefactors; q drops its top degree, so it is formed below it
-    square = tau.with_caps(d_max=d_max - 1).balanced_square()
-    neighbours = square.scale_q_exp(n).mul_exp_beta(exponent(n + 1) + exponent(n - 1))
-    lattice = (t_n * d1.d_dp(1, prime=True) - d1 * t_n.d_dp(1, prime=True)
-               - neighbours.with_caps(d_max=d_max).mul_q_power(1))
-    residual = shift(t_n, -n) - tau + lattice
+    t_n, lattice = _lattice(tau, n)
+    residual = t_n.scale_q_exp(-n).mul_exp_beta(_charge_exponent(-n)) - tau + lattice
     return _report(
         "tau-n",
         {"n": n, "d_max": d_max, "b_max": b_max},
         residual,
-        notes={"prefactor_beta_exponent": exponent(n)},
+        notes={"prefactor_beta_exponent": _charge_exponent(n)},
     )
 
 
-def _zvec_shifts(sign: int, prime: bool, max_part: int) -> list[tuple[int, bool, list[ShiftTerm]]]:
-    """Shift every p_k (or p'_k) by sign * z^k."""
-    return [(k, prime, [ShiftTerm(Fraction(sign), z_power=k)])
-            for k in range(1, max_part + 1)]
+def _factor_shifts(n_s: int, s_prime: bool, s_sign: int, zv_sign: int, zv_prime: bool,
+                   max_part: int) -> list[tuple[int, bool, list[ShiftTerm]]]:
+    """The shift list of one Hirota factor.
 
-
-def _merge_shifts(*groups):
-    merged: dict[tuple[bool, int], list[ShiftTerm]] = {}
-    for group in groups:
-        for k, prime, terms in group:
-            merged.setdefault((prime, k), []).extend(terms)
-    return [(k, prime, terms) for (prime, k), terms in merged.items()]
+    Every p_k (p'_k when ``zv_prime``) with k <= max_part is shifted by
+    zv_sign * z^k, and p_{n_s} of the family named by ``s_prime`` by
+    s_sign * s.
+    """
+    shifts = {(zv_prime, k): [ShiftTerm(zv_sign, z_power=k)] for k in range(1, max_part + 1)}
+    shifts.setdefault((s_prime, n_s), []).append(ShiftTerm(s_sign, s_degree=1))
+    return [(k, prime, terms) for (prime, k), terms in shifts.items()]
 
 
 # (m, n_s, side) of the equations below that hold for every series, not only
@@ -202,8 +208,9 @@ def verify_hirota(m: int, n_s: int, d_max: int, b_max: int, *,
     ``side``.  At m = 0 the first-order coefficient on the second-family
     side is twice the lowest-equation residual, monomial for monomial.
 
-    A ``corruption`` of one of the IDENTITIES_OF_EVERY_SERIES is refused
-    with ValueError: such a check would pass whatever tau held.
+    A ``corruption`` is refused with ValueError when the check could not
+    fail: up front for the IDENTITIES_OF_EVERY_SERIES, which pass whatever
+    tau holds, and afterwards whenever the corrupted residual is zero.
     """
     if m not in (-1, 0, 1) or n_s not in (1, 2, 3):
         raise ValueError("restricted Hirota scope")
@@ -217,47 +224,45 @@ def verify_hirota(m: int, n_s: int, d_max: int, b_max: int, *,
     tau = _corrupted(build_tau(d_max, b_max, cache=cache), corruption)
     primed = side == "pprime"
 
-    # z powers a product must supply so the extractions stay exact: the
-    # prefactor contributes only z^0 and z^{-n_s}, factors only z^{>=0}.
-    lhs_zmax = max(0, (n_s if primed else 0) - 1 - m)
-    rhs_zmax = m + 1 + (n_s if not primed else 0)
+    def read(cap: int, scale: int, common: int, zv_sign: int, zv_prime: bool,
+             t: int, c: Fraction) -> TruncatedSeries:
+        """[z^t] (1 + c s z^{-n_s}) F G at first order in s, under q -> e^{common beta} q.
 
-    def build(dmax: int, zmax: int, scale: int, s_sign: int, zv_sign: int, zv_prime: bool):
-        lifted = tau.with_caps(d_max=dmax, z_max=zmax, s_max=1)
-        shifts = _merge_shifts(
-            _zvec_shifts(zv_sign, zv_prime, dmax),
-            [(n_s, primed, [ShiftTerm(Fraction(s_sign), s_degree=1)])],
-        )
-        return lifted.scale_q_exp(scale).shift_p(shifts)
+        F = tau(e^{scale beta} q) shifted by +s and zv_sign * zv, G = tau
+        shifted by -s and -zv_sign * zv, both capped at q-degree ``cap``.
+        The prefactor's s z^{-n_s} reads [z^{t + n_s}] F G, factors carry
+        only z^{>=0}, and q -> e^{common beta} q is a ring map that keeps
+        q-degrees, so it is applied to the product once.
+        """
+        top = t + n_s if c else t
+        if top < 0:
+            return TruncatedSeries(d_max, b_max, s_max=1)
+        lifted = tau.with_caps(d_max=cap, z_max=top, s_max=1)
+        f, g = (x.shift_p(_factor_shifts(n_s, primed, sign, sign * zv_sign, zv_prime, cap))
+                for x, sign in ((lifted.scale_q_exp(scale), 1), (lifted, -1)))
+        product = (f * g).scale_q_exp(common)
+        out = product.extract_z(t)
+        if c:
+            out = out + product.extract_z(top).mul_aux_monomial(c, ds=1)
+        return out.with_caps(d_max=d_max)
 
-    # the left factors' common q -> e^{-beta} q moves past the shifts, which
-    # keep q-degrees, and is applied to their product once; q^{m+1} drops the
-    # product's top m + 1 degrees, so its factors are built below them
-    lhs_dmax = max(0, d_max - m - 1)
-    lhs = (build(lhs_dmax, lhs_zmax, m + 2, +1, +1, True)
-           * build(lhs_dmax, lhs_zmax, 0, -1, -1, True))
-    lhs = lhs.scale_q_exp(-1).with_caps(d_max=d_max)
-    rhs = build(d_max, rhs_zmax, m, +1, -1, False) * build(d_max, rhs_zmax, 0, -1, +1, False)
-    left, right = lhs.extract_z(-1 - m), rhs.extract_z(m + 1)
-    # [z^t] P (1 + c s z^{-n_s}) = [z^t] P + c s [z^{t+n_s}] P at first order in s
-    if primed:
-        left = left + lhs.extract_z(n_s - 1 - m).mul_aux_monomial(Fraction(-2, n_s), ds=1)
-    else:
-        right = right + rhs.extract_z(m + 1 + n_s).mul_aux_monomial(Fraction(2, n_s), ds=1)
-    left = left.mul_q_power(m + 1).mul_exp_beta(Fraction(m * (m + 1), 2))
-    residual = left - right
+    # q^{m+1} drops the left product's top m + 1 degrees, so its factors are
+    # built below them
+    left = read(max(0, d_max - m - 1), m + 2, -1, +1, True, -1 - m,
+                Fraction(-2, n_s) if primed else 0)
+    right = read(d_max, m, 0, -1, False, m + 1, 0 if primed else Fraction(2, n_s))
+    residual = left.mul_q_power(m + 1).mul_exp_beta(Fraction(m * (m + 1), 2)) - right
+    orders = {"m": m, "n_s": n_s, "d_max": d_max, "b_max": b_max}
+    if corruption is not None and residual.is_zero():
+        raise ValueError(f"hirota {orders} with side {side!r} leaves a corrupted tau"
+                         " a zero residual, so its negative control cannot fail")
 
     notes: dict = {"side": side}
     if m == 0 and n_s == 1 and primed and corruption is None:
         ref = toda_residual(tau)
         half = residual.extract_s(1) * Fraction(1, 2)
         notes["matches_toda_residual"] = (half == ref)
-    return _report(
-        "hirota",
-        {"m": m, "n_s": n_s, "d_max": d_max, "b_max": b_max},
-        residual,
-        notes=notes,
-    )
+    return _report("hirota", orders, residual, notes=notes)
 
 
 def _x_recursion(d_max: int, b_max: int) -> dict[tuple[int, int], Fraction]:

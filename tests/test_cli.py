@@ -151,6 +151,26 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "holds for every series" in err
 
+    def test_zero_hirota_residual_refused(self, capsys):
+        # with --corrupt-test the corrupted residual of (0, 3, p) at (3, 3) is
+        # zero, so the control could not fail
+        argv = ["verify", "hirota", "-m", "0", "--sn", "3", "--side", "p",
+                "--dmax", "3", "--bmax", "3"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("PASS")
+        code, out, err = run(capsys, *argv, "--corrupt-test")
+        assert code == 2 and out == ""
+        assert err.startswith("error: hirota {'m': 0, 'n_s': 3, 'd_max': 3, 'b_max': 3}")
+        assert "zero residual" in err
+
+    def test_csv_format_usage_error(self, capsys):
+        # a report is not a table: verify offers only json and human
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "toda", "--dmax", "2", "--bmax", "2", "--format", "csv"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice: 'csv'" in captured.err
+
     def test_specialized(self, capsys):
         code, out, _ = run(capsys, "verify", "toda-specialized", "--dmax", "4")
         assert code == 0 and out.startswith("PASS")
@@ -189,6 +209,13 @@ class TestCompare:
     def test_scale_limit(self, capsys):
         code, _, err = run(capsys, "compare", "--dmax", "7")
         assert code == 2 and "oracle scale limit" in err
+
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    def test_scale_limit_reported_once(self, capsys, fmt):
+        # main reports the limit as it is, with no "error:" prefix
+        code, out, err = run(capsys, "compare", "--dmax", "7", "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.startswith("oracle scale limit") and err.count("\n") == 1
 
     def test_csv_dump(self, capsys):
         code, out, err = run(capsys, "compare", "--dmax", "2", "--bmax", "1",

@@ -5,7 +5,7 @@ import pytest
 
 import hurwitz_toda.verify as verify_module
 from hurwitz_toda.hurwitz import build_tau
-from hurwitz_toda.series import TruncatedSeries, make_key
+from hurwitz_toda.series import ShiftTerm, TruncatedSeries, make_key
 from hurwitz_toda.verify import (
     toda_residual,
     verify_hirota,
@@ -215,6 +215,98 @@ class TestHirota:
         assert report.residual.extract_s(0).is_zero()
         report = verify_hirota(-1, 1, 3, 3)
         assert report.residual.extract_s(0).is_zero()
+
+
+# (m, n_s, side) whose corrupted residual is zero with CORRUPTIONS[0], the
+# key of the CLI's --corrupt-test, so verify_hirota refuses their control.
+# At d_max = 1 only the Toda reduction (0, 1, pprime) sees the corruption.
+DEGREE_ONE_REFUSALS = set(HIROTA_CASES) - IDENTITIES_OF_EVERY_SERIES - {(0, 1, "pprime")}
+ZERO_RESIDUAL_REFUSALS = {
+    (1, 0): DEGREE_ONE_REFUSALS,
+    (1, 1): DEGREE_ONE_REFUSALS,
+    (2, 2): {(-1, 3, "p"), (-1, 3, "pprime"), (0, 3, "p"), (0, 3, "pprime")},
+    (3, 3): {(0, 3, "p")},
+    (4, 4): set(),
+    (5, 5): set(),
+}
+
+
+class TestVacuousControls:
+    @pytest.mark.parametrize("orders", list(ZERO_RESIDUAL_REFUSALS))
+    def test_zero_residual_refused(self, orders):
+        d_max, b_max = orders
+        refused = set()
+        for m, n_s, side in set(HIROTA_CASES) - IDENTITIES_OF_EVERY_SERIES:
+            try:
+                report = verify_hirota(m, n_s, d_max, b_max, side=side,
+                                       corruption=CORRUPTIONS[0])
+            except ValueError as exc:
+                assert "zero residual" in str(exc)
+                assert f"'d_max': {d_max}, 'b_max': {b_max}" in str(exc)
+                refused.add((m, n_s, side))
+            else:
+                assert not report.passed
+        assert len(DEGREE_ONE_REFUSALS) == 13
+        assert refused == ZERO_RESIDUAL_REFUSALS[orders]
+
+
+def reference_hirota(tau, m, n_s, side):
+    """verify_hirota's residual with both products built whole.
+
+    Each side multiplies its two shifted factors over its own z window and
+    extracts from the product, prefactor included; the left side is formed
+    even where every z power it reads is negative.
+    """
+    primed = side == "pprime"
+    d_max = tau.d_max
+    lhs_zmax = max(0, (n_s if primed else 0) - 1 - m)
+    rhs_zmax = m + 1 + (n_s if not primed else 0)
+
+    def build(dmax, zmax, scale, s_sign, zv_sign, zv_prime):
+        shifts = {(zv_prime, k): [ShiftTerm(zv_sign, z_power=k)] for k in range(1, dmax + 1)}
+        shifts.setdefault((primed, n_s), []).append(ShiftTerm(s_sign, s_degree=1))
+        lifted = tau.with_caps(d_max=dmax, z_max=zmax, s_max=1)
+        return lifted.scale_q_exp(scale).shift_p([(k, p, t) for (p, k), t in shifts.items()])
+
+    lhs_dmax = max(0, d_max - m - 1)
+    lhs = (build(lhs_dmax, lhs_zmax, m + 2, +1, +1, True)
+           * build(lhs_dmax, lhs_zmax, 0, -1, -1, True))
+    lhs = lhs.scale_q_exp(-1).with_caps(d_max=d_max)
+    rhs = build(d_max, rhs_zmax, m, +1, -1, False) * build(d_max, rhs_zmax, 0, -1, +1, False)
+    left, right = lhs.extract_z(-1 - m), rhs.extract_z(m + 1)
+    if primed:
+        left = left + lhs.extract_z(n_s - 1 - m).mul_aux_monomial(F(-2, n_s), ds=1)
+    else:
+        right = right + rhs.extract_z(m + 1 + n_s).mul_aux_monomial(F(2, n_s), ds=1)
+    return left.mul_q_power(m + 1).mul_exp_beta(F(m * (m + 1), 2)) - right
+
+
+class TestHirotaReference:
+    """verify_hirota against the reference, clean and corrupted, case by case."""
+
+    @pytest.mark.parametrize("orders", [(1, 1), (2, 2), (5, 5), (6, 5)])
+    @pytest.mark.parametrize("key", [None, CORRUPTIONS[0]])
+    def test_every_case(self, orders, key):
+        tau = build_tau(*orders)
+        if key is not None:
+            tau = corrupted(tau, key)
+        for m, n_s, side in HIROTA_CASES:
+            if key is not None and (m, n_s, side) in IDENTITIES_OF_EVERY_SERIES:
+                continue
+            residual = reference_hirota(tau, m, n_s, side)
+            if key is not None and (m, n_s, side) in ZERO_RESIDUAL_REFUSALS.get(orders, ()):
+                # refused exactly where the reference residual is zero
+                assert residual.is_zero()
+                with pytest.raises(ValueError, match="zero residual"):
+                    verify_hirota(m, n_s, *orders, side=side, corruption=key)
+                continue
+            report = verify_hirota(m, n_s, *orders, side=side, corruption=key)
+            notes = {"side": side}
+            if key is None and (m, n_s, side) == (0, 1, "pprime"):
+                notes["matches_toda_residual"] = (residual.extract_s(1) * F(1, 2)
+                                                  == toda_residual(tau))
+            assert report.residual == residual and report.notes == notes
+            assert report.passed == (key is None)
 
 
 class TestSpecialized:
