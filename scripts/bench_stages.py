@@ -7,9 +7,11 @@ as recorded in the BENCH_*.json files.
 
 Imports ``hurwitz_toda`` from DIR (default: ``src/`` of this checkout), so
 the same script times any other checkout whose ``verify`` has
-``_factor_shifts``; an older checkout is timed by its own copy of the
-script.  For each order (d_max, b_max) it times, with ``time.perf_counter``
-in this one process:
+``_factor_shifts`` and whose ``oracle._sweep`` walks every b at once; an
+older checkout is timed by its own copy of the script.  Each stage reports
+the least of REPEATS runs, timed with ``time.perf_counter`` in this one
+process; a cold stage starts cold on every run.  For each order
+(d_max, b_max) it times:
 
     build_tau     tau assembly from a cold character cache
     log           tau.log()
@@ -31,9 +33,9 @@ products, in its order.
 For each oracle order it times the two stages of ``compare`` that do not
 build series:
 
-    sweep          oracle._sweep for every (d, mu, b) task, cold, with the
-                   number of transposition tuples counted and the sum of the
-                   transitive counts (equal on every checkout)
+    sweep          oracle._sweep for every (d, mu) task, cold, with the
+                   number of transposition tuples counted over every b and
+                   the sum of the transitive counts (equal on every checkout)
     class_algebra  cov_with_transpositions for every (d, b, mu, nu), with the
                    character cache warmed by one untimed pass
 
@@ -50,19 +52,30 @@ import sys
 import time
 from math import comb
 
+REPEATS = 3
+
+
+def best(fn) -> tuple:
+    """The least seconds over REPEATS calls of ``fn``, and the last call's result."""
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - t0)
+    return round(min(times), 4), result
+
 
 def stages(ht, d_max: int, b_max: int) -> dict:
     out = {}
 
     def timed(name, fn):
-        t0 = time.perf_counter()
-        results = fn()
-        out[name] = {"s": round(time.perf_counter() - t0, 4),
-                     "terms": sum(len(r) for r in results)}
+        s, results = best(fn)
+        out[name] = {"s": s, "terms": sum(len(r) for r in results)}
         return results
 
-    cache = ht.CharacterCache()
-    (tau,) = timed("build_tau", lambda: [ht.build_tau(d_max, b_max, cache=cache)])
+    # a fresh character cache on every run keeps the build cold
+    (tau,) = timed("build_tau",
+                   lambda: [ht.build_tau(d_max, b_max, cache=ht.CharacterCache())])
     timed("log", lambda: [tau.log()])
     timed("scale_q_exp", lambda: [tau.scale_q_exp(2)])
     d1, d1p, mixed = timed("d_dp", lambda: [
@@ -91,23 +104,26 @@ def stages(ht, d_max: int, b_max: int) -> dict:
 
 
 def oracle_stages(ht, d_max: int, b_max: int) -> dict:
-    tasks = [(d, mu, b) for d in range(1, d_max + 1)
-             for mu in ht.partitions_of(d) for b in range(b_max + 1)]
+    profiles = [(d, mu) for d in range(1, d_max + 1) for mu in ht.partitions_of(d)]
+    tasks = [(d, mu.parts, b_max) for d, mu in profiles]
     sweep = ht.oracle._sweep
-    sweep.cache_clear()
-    t0 = time.perf_counter()
-    sweeps = [sweep(d, mu.parts, b) for d, mu, b in tasks]
-    out = {"sweep": {"s": round(time.perf_counter() - t0, 4), "tasks": len(tasks),
-                     "tuples": sum(comb(d, 2) ** b for d, _, b in tasks),
-                     "transitive": sum(c[1] for s in sweeps for c in s.values())}}
-    calls = [(d, mu, nu, b) for d, mu, b in tasks for nu in ht.partitions_of(d)]
+
+    def cold_sweeps():
+        sweep.cache_clear()
+        return [sweep(*task) for task in tasks]
+
+    s, walks = best(cold_sweeps)
+    out = {"sweep": {"s": s, "tasks": len(tasks),
+                     "tuples": sum(comb(d, 2) ** b for d, _ in profiles for b in range(b_max + 1)),
+                     "transitive": sum(c[1] for levels in walks for counts in levels
+                                       for c in counts.values())}}
+    calls = [(d, mu, nu, b) for d, mu in profiles
+             for b in range(b_max + 1) for nu in ht.partitions_of(d)]
     cache = ht.CharacterCache()
     for call in calls:
         ht.cov_with_transpositions(*call, cache=cache)
-    t0 = time.perf_counter()
-    for call in calls:
-        ht.cov_with_transpositions(*call, cache=cache)
-    out["class_algebra"] = {"s": round(time.perf_counter() - t0, 4), "calls": len(calls)}
+    s, _ = best(lambda: [ht.cov_with_transpositions(*call, cache=cache) for call in calls])
+    out["class_algebra"] = {"s": s, "calls": len(calls)}
     return out
 
 

@@ -71,18 +71,19 @@ def _emit(text: str, out_path: str | None) -> None:
         raise _OutputError(f"cannot write {out_path}: {exc}")
 
 
-def _records_csv(records) -> str:
+def _csv(header: list, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["d", "b", "mu", "nu", "value", "genus", "connected"])
-    for r in records:
-        writer.writerow([
-            r.d, r.b, r.mu.to_string(), r.nu.to_string(),
-            format_rational(r.value),
-            r.genus if r.genus is not None else "non-integral",
-            r.connected,
-        ])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def _records_csv(records) -> str:
+    return _csv(["d", "b", "mu", "nu", "value", "genus", "connected"], (
+        [r.d, r.b, r.mu.to_string(), r.nu.to_string(), format_rational(r.value),
+         r.genus if r.genus is not None else "non-integral", r.connected]
+        for r in records))
 
 
 def _records_human(records) -> str:
@@ -169,19 +170,12 @@ def cmd_compare(args) -> int:
     d_cap = _env_int("HURWITZ_ORACLE_DMAX_CAP", DEFAULT_D_CAP)
     b_cap = _env_int("HURWITZ_ORACLE_BMAX_CAP", DEFAULT_B_CAP)
     if args.format == "csv":
-        rows = count_table(args.dmax, args.bmax, d_cap=d_cap, b_cap=b_cap)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["d", "b", "mu", "nu",
-                         "disconnected_count", "connected_count"])
-        for row in rows:
-            writer.writerow([
-                row["d"], row["b"],
-                ",".join(map(str, row["mu"])), ",".join(map(str, row["nu"])),
-                format_rational(row["disconnected_count"]),
-                format_rational(row["connected_count"]),
-            ])
-        _emit(buf.getvalue(), args.out)
+        rows = ([row["d"], row["b"], ",".join(map(str, row["mu"])), ",".join(map(str, row["nu"])),
+                 format_rational(row["disconnected_count"]),
+                 format_rational(row["connected_count"])]
+                for row in count_table(args.dmax, args.bmax, d_cap=d_cap, b_cap=b_cap))
+        _emit(_csv(["d", "b", "mu", "nu", "disconnected_count", "connected_count"], rows),
+              args.out)
     discrepancies = compare_all(args.dmax, args.bmax, jobs=jobs, d_cap=d_cap, b_cap=b_cap)
     # after a CSV table the summary goes to stderr, so stdout stays one table
     summary = sys.stderr if args.format == "csv" else sys.stdout
@@ -207,12 +201,8 @@ def cmd_compare(args) -> int:
 
 def cmd_chartable(args) -> int:
     classes = list(partitions_of(args.d))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["lambda"] + [mu.to_string() for mu in classes])
-    for lam in classes:
-        writer.writerow([lam.to_string()] + [character(lam, mu) for mu in classes])
-    _emit(buf.getvalue(), args.out)
+    rows = ([lam.to_string()] + [character(lam, mu) for mu in classes] for lam in classes)
+    _emit(_csv(["lambda"] + [mu.to_string() for mu in classes], rows), args.out)
     return 0
 
 

@@ -28,7 +28,7 @@ from .partitions import (
     transposition_class,
     z_mu,
 )
-from .series import ZERO_KEY, TruncatedSeries, _flat, _grouped, _mul_groups, _scaled, make_key
+from .series import ZERO_KEY, Key, TruncatedSeries, _flat, _grouped, _mul_groups, _scaled, make_key
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ class HurwitzRecord:
     value: Fraction
     genus: int | None
     connected: bool
-    source: str = "character-sum"
 
     def to_json_obj(self) -> dict:
         return {
@@ -257,6 +256,14 @@ def build_tau(d_max: int, b_max: int, *,
     store = _store(cache)
     with store.lock:
         return store.tau_series(d_max, b_max)
+
+
+def corrupted(tau: TruncatedSeries, key: Key | None) -> TruncatedSeries:
+    """tau with its coefficient at ``key`` raised by one, as a negative
+    control; tau itself when ``key`` is None."""
+    if key is None:
+        return tau
+    return tau.with_coefficient(key, tau.coefficient(key) + 1)
 
 
 def connected_series(tau: TruncatedSeries) -> TruncatedSeries:

@@ -14,9 +14,10 @@ together instead of one by one.  Every step but the last is a permutation
 composition and an orbit merge.  The last step reads only the cycles of
 each product: a transposition (i j) joins the two cycles through i and j,
 or splits the one cycle holding both, and the tuple is transitive when the
-orbits end as one.  The count reads no character, class-algebra value or
-series, so it stays an independent check of those routes, which only
-``compare_all`` calls.
+orbits end as one.  One walk per sigma0 answers every b up to the box's
+b_max, since the counts for b are read from the prefixes of length b - 1.
+The count reads no character, class-algebra value or series, so it stays an
+independent check of those routes, which only ``compare_all`` calls.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import starmap
 from math import factorial
 from multiprocessing import Pool
 
 from .characters import CharacterCache
-from .hurwitz import build_tau, connected_series, cov_with_transpositions
+from .hurwitz import build_tau, connected_series, corrupted, cov_with_transpositions
 from .partitions import Partition, class_size, partitions_of
 
 DEFAULT_D_CAP = 6
@@ -197,49 +199,51 @@ def _last_step(orbits: tuple) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _sweep(d: int, mu_parts: tuple, b: int) -> dict:
-    """Counts of tuples with sigma0 of type mu, keyed by sigma_inf type.
+def _sweep(d: int, mu_parts: tuple, b_max: int) -> tuple:
+    """Counts of tuples with sigma0 of type mu, keyed by sigma_inf type, for
+    every b <= b_max: entry b is {nu_parts: [all_count, transitive_count]}.
 
     Fixes one representative sigma0 and multiplies by the class size at the
     end (conjugation preserves both the identity-product constraint and
-    transitivity).  Walks states (product so far, orbits of sigma0 and the
-    transpositions so far) through the first b - 1 transpositions, each
-    with the number of transposition prefixes that reach it; orbits are
-    labelled by their smallest point, so equal states merge.  The last
-    transposition is counted from the cycles of each state's product (see
+    transitivity).  Entry 0 is the tuple (sigma0, sigma0^-1).  One walk
+    carries states (product so far, orbits of sigma0 and the transpositions
+    so far) through the first b_max - 1 transpositions, each with the
+    number of transposition prefixes that reach it; orbits are labelled by
+    their smallest point, so equal states merge.  Entry b counts the last
+    transposition from the cycles of each state left after b - 1 steps (see
     ``_last_step``): sigma_inf = (p t)^-1 has the cycle type of p t.
-    Returns {nu_parts: [all_count, transitive_count]}.
     """
     mu = Partition(mu_parts)
     mult = class_size(mu)
-    if b == 0:  # the tuple is (sigma0, sigma0^-1)
-        return {mu.parts: [mult, mult if mu.length == 1 else 0]}
+    levels = [{mu.parts: [mult, mult if mu.length == 1 else 0]}]
     sigma0 = class_representative(mu)
     states = {(sigma0, _orbit_labels(sigma0)): 1}
     swaps = [(t, [k for k in range(d) if t[k] != k]) for t in all_transpositions(d)]
-    for _ in range(b - 1):
-        reached: dict = {}
+    for b in range(1, b_max + 1):
+        if b > 1:  # one more transposition on every state
+            reached: dict = {}
+            for (p, labels), n in states.items():
+                for t, (i, j) in swaps:
+                    a, c = labels[i], labels[j]
+                    merged = labels
+                    if a != c:  # two orbits join, under the smaller label
+                        lo, hi = (a, c) if a < c else (c, a)
+                        merged = tuple(lo if x == hi else x for x in labels)
+                    key = (compose(p, t), merged)
+                    reached[key] = reached.get(key, 0) + n
+            states = reached
+        grouped: dict = {}
         for (p, labels), n in states.items():
-            for t, (i, j) in swaps:
-                a, c = labels[i], labels[j]
-                merged = labels
-                if a != c:  # two orbits join, under the smaller label
-                    lo, hi = (a, c) if a < c else (c, a)
-                    merged = tuple(lo if x == hi else x for x in labels)
-                key = (compose(p, t), merged)
-                reached[key] = reached.get(key, 0) + n
-        states = reached
-    grouped: dict = {}
-    for (p, labels), n in states.items():
-        orbits = _orbit_cycles(p, labels)
-        grouped[orbits] = grouped.get(orbits, 0) + n * mult
-    counts: dict[tuple, list[int]] = {}
-    for orbits, n in grouped.items():
-        for nu, (every, transitive) in _last_step(orbits).items():
-            entry = counts.setdefault(nu, [0, 0])
-            entry[0] += n * every
-            entry[1] += n * transitive
-    return counts
+            orbits = _orbit_cycles(p, labels)
+            grouped[orbits] = grouped.get(orbits, 0) + n * mult
+        counts: dict[tuple, list[int]] = {}
+        for orbits, n in grouped.items():
+            for nu, (every, transitive) in _last_step(orbits).items():
+                entry = counts.setdefault(nu, [0, 0])
+                entry[0] += n * every
+                entry[1] += n * transitive
+        levels.append(counts)
+    return tuple(levels)
 
 
 def count_tuples(d: int, mu: Partition, nu: Partition, b: int,
@@ -260,15 +264,10 @@ def count_tuples(d: int, mu: Partition, nu: Partition, b: int,
         raise OracleLimitError("oracle scale limit")
     if d == 0:
         return Fraction(1) if b == 0 else Fraction(0)
-    entry = _sweep(d, mu.parts, b).get(nu.parts)
+    entry = _sweep(d, mu.parts, b)[b].get(nu.parts)
     if entry is None:
         return Fraction(0)
     return Fraction(entry[1] if connected_only else entry[0], factorial(d))
-
-
-def _sweep_task(args: tuple) -> tuple:
-    d, mu_parts, b = args
-    return (args, _sweep(d, mu_parts, b))
 
 
 def _check_box(d_max: int, b_max: int, d_cap: int, b_cap: int) -> None:
@@ -293,55 +292,48 @@ def compare_all(d_max_oracle: int, b_max_oracle: int, *,
     transitive count over d! must equal b! times the log tau coefficient.
     Returns one record per disagreement; empty list means full agreement.
     ``corruption`` bumps one tau coefficient by +1 before comparing (negative
-    control).  The sweeps run on at most ``jobs`` worker processes, and never
-    on more than ``os.cpu_count()``.
+    control).  One walk per (d, mu) serves every b; the walks run on at most
+    ``jobs`` worker processes, and never on more than ``os.cpu_count()``.
     """
     _check_box(d_max_oracle, b_max_oracle, d_cap, b_cap)
-    tau = build_tau(d_max_oracle, b_max_oracle, cache=cache)
-    if corruption is not None:
-        tau = tau.with_coefficient(corruption, tau.coefficient(corruption) + 1)
+    tau = corrupted(build_tau(d_max_oracle, b_max_oracle, cache=cache), corruption)
     h = connected_series(tau)
 
-    tasks = []
-    for d in range(1, d_max_oracle + 1):
-        for mu in partitions_of(d):
-            for b in range(b_max_oracle + 1):
-                tasks.append((d, mu.parts, b))
+    tasks = [(d, mu.parts, b_max_oracle)
+             for d in range(1, d_max_oracle + 1) for mu in partitions_of(d)]
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with Pool(jobs) as pool:
-            sweeps = dict(pool.map(_sweep_task, tasks))
+            walks = pool.starmap(_sweep, tasks)
     else:
-        sweeps = {t: _sweep(*t) for t in tasks}
+        walks = list(starmap(_sweep, tasks))
 
     discrepancies = []
-    for d, mu_parts, b in tasks:
+    for (d, mu_parts, _), levels in zip(tasks, walks):
         mu = Partition(mu_parts)
-        counts = sweeps[(d, mu_parts, b)]
-        bfact = factorial(b)
-        dfact = factorial(d)
-        for nu in partitions_of(d):
-            entry = counts.get(nu.parts, (0, 0))
-            oracle_disc = Fraction(entry[0], dfact)
-            oracle_conn = Fraction(entry[1], dfact)
-            key = (d, b, mu.parts, nu.parts, 0, 0)
-            series_disc = tau.coefficient(key) * bfact
-            series_conn = h.coefficient(key) * bfact
-            formula_disc = cov_with_transpositions(d, mu, nu, b, cache=cache)
-            if not (oracle_disc == series_disc == formula_disc):
-                discrepancies.append({
-                    "d": d, "b": b, "mu": mu.parts, "nu": nu.parts,
-                    "kind": "disconnected",
-                    "oracle": oracle_disc, "series": series_disc,
-                    "formula": formula_disc,
-                })
-            if oracle_conn != series_conn:
-                discrepancies.append({
-                    "d": d, "b": b, "mu": mu.parts, "nu": nu.parts,
-                    "kind": "connected",
-                    "oracle": oracle_conn, "series": series_conn,
-                    "formula": None,
-                })
+        for b, counts in enumerate(levels):
+            for nu in partitions_of(d):
+                entry = counts.get(nu.parts, (0, 0))
+                oracle_disc = Fraction(entry[0], factorial(d))
+                oracle_conn = Fraction(entry[1], factorial(d))
+                key = (d, b, mu.parts, nu.parts, 0, 0)
+                series_disc = tau.coefficient(key) * factorial(b)
+                series_conn = h.coefficient(key) * factorial(b)
+                formula_disc = cov_with_transpositions(d, mu, nu, b, cache=cache)
+                if not (oracle_disc == series_disc == formula_disc):
+                    discrepancies.append({
+                        "d": d, "b": b, "mu": mu.parts, "nu": nu.parts,
+                        "kind": "disconnected",
+                        "oracle": oracle_disc, "series": series_disc,
+                        "formula": formula_disc,
+                    })
+                if oracle_conn != series_conn:
+                    discrepancies.append({
+                        "d": d, "b": b, "mu": mu.parts, "nu": nu.parts,
+                        "kind": "connected",
+                        "oracle": oracle_conn, "series": series_conn,
+                        "formula": None,
+                    })
     return discrepancies
 
 
@@ -351,11 +343,11 @@ def count_table(d_max_oracle: int, b_max_oracle: int, *,
     _check_box(d_max_oracle, b_max_oracle, d_cap, b_cap)
     rows = []
     for d in range(1, d_max_oracle + 1):
+        walks = [(mu, _sweep(d, mu.parts, b_max_oracle)) for mu in partitions_of(d)]
         for b in range(b_max_oracle + 1):
-            for mu in partitions_of(d):
-                counts = _sweep(d, mu.parts, b)
+            for mu, levels in walks:
                 for nu in partitions_of(d):
-                    entry = counts.get(nu.parts, (0, 0))
+                    entry = levels[b].get(nu.parts, (0, 0))
                     rows.append({
                         "d": d, "b": b, "mu": mu.parts, "nu": nu.parts,
                         "disconnected_count": Fraction(entry[0], factorial(d)),

@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import factorial
 
 from .characters import CharacterCache
-from .hurwitz import build_tau, format_rational, simple_hurwitz
+from .hurwitz import build_tau, corrupted, format_rational, simple_hurwitz
 from .series import Key, ShiftTerm, TruncatedSeries, key_to_json_obj, make_key
 
 
@@ -89,12 +89,6 @@ def _report(identity: str, orders: dict, residual: TruncatedSeries,
     )
 
 
-def _corrupted(tau: TruncatedSeries, corruption: Key | None) -> TruncatedSeries:
-    if corruption is None:
-        return tau
-    return tau.with_coefficient(corruption, tau.coefficient(corruption) + 1)
-
-
 def _charge_exponent(k: int) -> Fraction:
     """beta exponent k(4k^2 - 1)/24 of the charge-k prefactor."""
     return Fraction(k * (4 * k * k - 1), 24)
@@ -137,7 +131,7 @@ def verify_toda(d_max: int, b_max: int, *,
     """Check the lowest lattice equation on the series at (d_max, b_max)."""
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
-    tau = _corrupted(build_tau(d_max, b_max, cache=cache), corruption)
+    tau = corrupted(build_tau(d_max, b_max, cache=cache), corruption)
     residual = toda_residual(tau)
     return _report("toda", {"d_max": d_max, "b_max": b_max}, residual)
 
@@ -157,7 +151,7 @@ def verify_tau_n(n: int, d_max: int, b_max: int, *,
         raise ValueError("charge shift restricted to |n| <= 3")
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
-    tau = _corrupted(build_tau(d_max, b_max, cache=cache), corruption)
+    tau = corrupted(build_tau(d_max, b_max, cache=cache), corruption)
     t_n, lattice = _lattice(tau, n)
     residual = t_n.scale_q_exp(-n).mul_exp_beta(_charge_exponent(-n)) - tau + lattice
     return _report(
@@ -221,7 +215,7 @@ def verify_hirota(m: int, n_s: int, d_max: int, b_max: int, *,
     if corruption is not None and (m, n_s, side) in IDENTITIES_OF_EVERY_SERIES:
         raise ValueError(f"hirota (m, n_s, side) = {(m, n_s, side)} holds for every series,"
                          " so a corrupted tau cannot fail it")
-    tau = _corrupted(build_tau(d_max, b_max, cache=cache), corruption)
+    tau = corrupted(build_tau(d_max, b_max, cache=cache), corruption)
     primed = side == "pprime"
 
     def read(cap: int, scale: int, common: int, zv_sign: int, zv_prime: bool,
@@ -335,7 +329,7 @@ def verify_toda_specialized(u_max: int, *,
     if u_max < 1:
         raise ValueError("u_max must be at least 1")
     d_max, b_max = u_max, 2 * u_max - 2
-    tau = _corrupted(build_tau(d_max, b_max, cache=cache), corruption)
+    tau = corrupted(build_tau(d_max, b_max, cache=cache), corruption)
     restricted = tau.truncate_parts(1)
 
     structural = restricted.filtered(

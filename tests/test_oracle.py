@@ -199,21 +199,25 @@ class TestNaiveAgreement:
 
 
 class TestStateWalk:
-    """The state walk of oracle._sweep against the per-tuple sweep."""
+    """Every level of one oracle._sweep walk against the per-tuple sweep."""
 
     @pytest.mark.parametrize("d,b_max", [(1, 4), (2, 4), (3, 4), (4, 4), (5, 4), (6, 2)])
     def test_same_counts_as_per_tuple(self, d, b_max):
         for mu in partitions_of(d):
-            for b in range(b_max + 1):
+            levels = oracle._sweep(d, mu.parts, b_max)
+            assert len(levels) == b_max + 1
+            for b, counts in enumerate(levels):
                 want = per_tuple_sweep(d, mu.parts, b)
-                assert oracle._sweep(d, mu.parts, b) == want, (d, mu, b)
+                assert counts == want, (d, mu, b)
                 assert sum(n for n, _ in want.values()) == class_size(mu) * (d * (d - 1) // 2) ** b
 
     @pytest.mark.parametrize("d,b_max", [(1, 5), (2, 5), (3, 5), (4, 5), (5, 5), (6, 4)])
     def test_same_counts_as_full_walk(self, d, b_max):
         for mu in partitions_of(d):
-            for b in range(b_max + 1):
-                assert oracle._sweep(d, mu.parts, b) == full_walk_sweep(d, mu.parts, b), (d, mu, b)
+            levels = oracle._sweep(d, mu.parts, b_max)
+            assert len(levels) == b_max + 1
+            for b, counts in enumerate(levels):
+                assert counts == full_walk_sweep(d, mu.parts, b), (d, mu, b)
 
     def test_last_step_against_composition(self):
         # every transposition t of random states (p, orbits), d <= 8: the
@@ -279,8 +283,8 @@ class TestCompareAll:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return [fn(t) for t in tasks]
+            def starmap(self, fn, tasks):
+                return [fn(*t) for t in tasks]
 
         monkeypatch.setattr(oracle, "Pool", FakePool)
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
@@ -293,6 +297,21 @@ class TestCompareAll:
     def test_caps(self):
         with pytest.raises(OracleLimitError, match="oracle scale limit"):
             compare_all(7, 0)
+
+    @pytest.mark.parametrize("run", [compare_all, count_table])
+    def test_one_walk_per_profile(self, run, monkeypatch):
+        # each (d, mu) is walked once, to b_max, and every b is read from it
+        calls = []
+        sweep = oracle._sweep
+
+        def recording(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(oracle, "_sweep", recording)
+        run(4, 3)
+        assert calls == [(d, mu.parts, 3) for d in range(1, 5) for mu in partitions_of(d)]
+        assert len(calls) == 11
 
     @pytest.mark.parametrize("run", [compare_all, count_table])
     def test_empty_box_refused(self, run, monkeypatch):
