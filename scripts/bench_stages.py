@@ -7,11 +7,11 @@ as recorded in the BENCH_*.json files.
 
 Imports ``hurwitz_toda`` from DIR (default: ``src/`` of this checkout), so
 the same script times any other checkout whose ``verify`` has
-``_factor_shifts`` and whose ``oracle._sweep`` walks every b at once; an
-older checkout is timed by its own copy of the script.  Each stage reports
-the least of REPEATS runs, timed with ``time.perf_counter`` in this one
-process; a cold stage starts cold on every run.  For each order
-(d_max, b_max) it times:
+``_factor_shifts``, whose ``oracle._sweep`` walks every b at once and whose
+``hurwitz`` has the per-degree ``_Shapes`` table; an older checkout is timed
+by its own copy of the script.  Each stage reports the least of REPEATS
+runs, timed with ``time.perf_counter`` in this one process; a cold stage
+starts cold on every run.  For each order (d_max, b_max) it times:
 
     build_tau     tau assembly from a cold character cache
     log           tau.log()
@@ -36,8 +36,12 @@ build series:
     sweep          oracle._sweep for every (d, mu) task, cold, with the
                    number of transposition tuples counted over every b and
                    the sum of the transitive counts (equal on every checkout)
-    class_algebra  cov_with_transpositions for every (d, b, mu, nu), with the
-                   character cache warmed by one untimed pass
+    class_algebra  the class-algebra count of every (d, b, mu, nu) as
+                   ``compare`` evaluates it, from one shape table per d, with
+                   the character cache warmed by one untimed pass
+
+and exits nonzero unless every class-algebra count equals the sweep's
+disconnected count over d!.
 
 An empty ``--orders`` or ``--oracle`` (no values, or ``""``) skips that
 part.  Prints one JSON object.
@@ -50,7 +54,8 @@ import json
 import os
 import sys
 import time
-from math import comb
+from fractions import Fraction
+from math import comb, factorial
 
 REPEATS = 3
 
@@ -119,10 +124,22 @@ def oracle_stages(ht, d_max: int, b_max: int) -> dict:
                                        for c in counts.values())}}
     calls = [(d, mu, nu, b) for d, mu in profiles
              for b in range(b_max + 1) for nu in ht.partitions_of(d)]
+    swaps = {d: [ht.partitions.transposition_class(d)] if d > 1 else [] for d, _ in profiles}
     cache = ht.CharacterCache()
-    for call in calls:
-        ht.cov_with_transpositions(*call, cache=cache)
-    s, _ = best(lambda: [ht.cov_with_transpositions(*call, cache=cache) for call in calls])
+
+    def class_algebra():
+        # as compare_all: no transpositions below degree two
+        tables = {d: ht.hurwitz._Shapes(d, cache) for d in swaps}
+        return [ht.hurwitz._class_sum(tables[d], [mu, nu] + swaps[d] * b)
+                if swaps[d] or not b else 0 for d, mu, nu, b in calls]
+
+    class_algebra()
+    s, counts = best(class_algebra)
+    disconnected = dict(zip(profiles, walks))
+    for (d, mu, nu, b), count in zip(calls, counts):
+        entry = disconnected[(d, mu)][b].get(nu.parts, (0, 0))
+        if count != Fraction(entry[0], factorial(d)):
+            raise SystemExit(f"class-algebra count {count} != sweep at {(d, b, mu.parts, nu.parts)}")
     out["class_algebra"] = {"s": s, "calls": len(calls)}
     return out
 

@@ -69,37 +69,49 @@ def format_rational(x: Fraction) -> object:
     return f"{x.numerator}/{x.denominator}"
 
 
+class _Shapes:
+    """The shapes of degree d, their dims, the lcm L of the nonzero dims (not
+    d!: a seeded cache may hold any dim), and |C| chi_C by shape per class C,
+    read from the cache the first time C is asked for."""
+
+    def __init__(self, d: int, cache: CharacterCache | None):
+        self.d, self.cache = d, cache or DEFAULT_CACHE
+        self.shapes = list(partitions_of(d))
+        self.dims = [self.cache.dimension(lam) for lam in self.shapes]
+        self.common = lcm(*filter(None, self.dims))
+        self._rows: dict = {}
+
+    def row(self, c: Partition) -> list[int]:
+        if c not in self._rows:
+            size = class_size(c)
+            self._rows[c] = [size * self.cache.character(lam, c) for lam in self.shapes]
+        return self._rows[c]
+
+
+def _class_sum(table: _Shapes, classes: list[Partition]) -> Fraction:
+    """cov_burnside of ``classes``, all of size table.d: each shape's
+    dim^2 prod |C| chi_C / dim^k brought to L^k, summed, over L^k d!^2."""
+    k = len(classes)
+    terms = [dim * dim * (table.common // dim) ** k if dim else 0 for dim in table.dims]
+    for c, m in Counter(classes).items():
+        terms = [x * y ** m for x, y in zip(terms, table.row(c))]
+    return Fraction(sum(terms), table.common ** k * factorial(table.d) ** 2)
+
+
 def cov_burnside(d: int, classes: list[Partition], *,
                  cache: CharacterCache | None = None) -> Fraction:
     """Weighted count of degree-d coverings with the given branch classes.
 
     Sum over shapes of size d of (dim/d!)^2 times the product of the class
     eigenvalues |C| chi(C) / dim; counts disconnected coverings too, each
-    weighted by the reciprocal of its automorphism group order.  For k
-    classes, each shape's integer numerator over dim^k is brought to L^k,
-    with L the lcm of the dims, and the integer sum is divided by
-    L^k d!^2 once.
+    weighted by the reciprocal of its automorphism group order.  Summed in
+    integers over L^k d!^2, with L the lcm of the dims, for k classes.
     """
-    cache = cache or DEFAULT_CACHE
     classes = [_partition(c) for c in classes]
     for c in classes:
         if c.size != d:
             raise ValueError(f"class {c} does not have size {d}")
-    repeats = Counter(classes)
-    sizes = {c: class_size(c) for c in repeats}
-    shapes = list(partitions_of(d))
-    dims = [cache.dimension(lam) for lam in shapes]
-    common = lcm(*filter(None, dims))  # not d!: a seeded cache may hold any dim
-    total = 0
-    for lam, dim in zip(shapes, dims):
-        num = dim * dim
-        for c, m in repeats.items():
-            num *= (sizes[c] * cache.character(lam, c)) ** m
-            if not num:
-                break
-        if num:
-            total += num * (common // dim) ** len(classes)
-    return Fraction(total, common ** len(classes) * factorial(d) ** 2)
+    return _class_sum(_Shapes(d, cache), classes)
 
 
 def cov_with_transpositions(d: int, mu: Partition, nu: Partition, b: int, *,
@@ -277,15 +289,16 @@ def connected_series(tau: TruncatedSeries) -> TruncatedSeries:
 
 def genus_of(b: int, mu: Partition, nu: Partition) -> int | None:
     """Genus from the ramification data, or None when no covering can exist."""
-    twice = b + 2 - Partition(mu).length - Partition(nu).length
+    twice = b + 2 - _partition(mu).length - _partition(nu).length
     if twice % 2 or twice < 0:
         return None
     return twice // 2
 
 
 def _record(h: dict, d: int, b: int, mu: Partition, nu: Partition) -> HurwitzRecord:
-    """b! times the coefficient of q^d beta^b p_mu p'_nu, from the log counts h."""
-    count = h.get(make_key(dq=d, b=b, mu=mu.parts, nu=nu.parts), 0)
+    """b! times the coefficient of q^d beta^b p_mu p'_nu, from the log counts h;
+    mu and nu are validated Partitions, so their parts are a key's as they are."""
+    count = h.get((d, b, mu.parts, nu.parts, 0, 0), 0)
     return HurwitzRecord(d=d, b=b, mu=mu, nu=nu, value=Fraction(count, factorial(d)),
                          genus=genus_of(b, mu, nu), connected=True)
 
@@ -297,7 +310,7 @@ def double_hurwitz(d: int, b: int, mu: Partition, nu: Partition, *,
     Reads b! times the matching coefficient of the connected series; with
     the default character cache its cells are kept and grown like tau's.
     """
-    mu, nu = Partition(mu), Partition(nu)
+    mu, nu = _partition(mu), _partition(nu)
     if mu.size != d or nu.size != d:
         raise ValueError(f"profiles must have size {d}: got |mu|={mu.size}, |nu|={nu.size}")
     if b < 0:
@@ -311,7 +324,7 @@ def double_hurwitz(d: int, b: int, mu: Partition, nu: Partition, *,
 def cov_record(d: int, b: int, mu: Partition, nu: Partition, *,
                cache: CharacterCache | None = None) -> HurwitzRecord:
     """Disconnected count packaged like :func:`double_hurwitz` output."""
-    mu, nu = Partition(mu), Partition(nu)
+    mu, nu = _partition(mu), _partition(nu)
     if mu.size != d or nu.size != d:
         raise ValueError(f"profiles must have size {d}")
     value = cov_with_transpositions(d, mu, nu, b, cache=cache)

@@ -28,11 +28,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import starmap
 from math import factorial
-from multiprocessing import Pool
 
 from .characters import CharacterCache
-from .hurwitz import build_tau, connected_series, corrupted, cov_with_transpositions
-from .partitions import Partition, class_size, partitions_of
+from .hurwitz import _Shapes, _class_sum, build_tau, connected_series, corrupted
+from .partitions import Partition, class_size, partitions_of, transposition_class
 
 DEFAULT_D_CAP = 6
 DEFAULT_B_CAP = 5
@@ -292,34 +291,40 @@ def compare_all(d_max_oracle: int, b_max_oracle: int, *,
     transitive count over d! must equal b! times the log tau coefficient.
     Returns one record per disagreement; empty list means full agreement.
     ``corruption`` bumps one tau coefficient by +1 before comparing (negative
-    control).  One walk per (d, mu) serves every b; the walks run on at most
-    ``jobs`` worker processes, and never on more than ``os.cpu_count()``.
+    control).  One walk per (d, mu) and one shape table per d serve every b;
+    the walks run on at most ``jobs`` worker processes, never more than the
+    CPU count.
     """
     _check_box(d_max_oracle, b_max_oracle, d_cap, b_cap)
     tau = corrupted(build_tau(d_max_oracle, b_max_oracle, cache=cache), corruption)
     h = connected_series(tau)
 
-    tasks = [(d, mu.parts, b_max_oracle)
-             for d in range(1, d_max_oracle + 1) for mu in partitions_of(d)]
+    tables = [_Shapes(d, cache) for d in range(1, d_max_oracle + 1)]
+    profiles = [(table, mu) for table in tables for mu in table.shapes]
+    tasks = [(table.d, mu.parts, b_max_oracle) for table, mu in profiles]
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
+        from multiprocessing import Pool  # imported here, so a serial run never pays for it
         with Pool(jobs) as pool:
             walks = pool.starmap(_sweep, tasks)
     else:
         walks = list(starmap(_sweep, tasks))
 
     discrepancies = []
-    for (d, mu_parts, _), levels in zip(tasks, walks):
-        mu = Partition(mu_parts)
+    for (table, mu), levels in zip(profiles, walks):
+        d, dfact = table.d, factorial(table.d)
+        swaps = [transposition_class(d)] if d > 1 else []
         for b, counts in enumerate(levels):
-            for nu in partitions_of(d):
+            for nu in table.shapes:
                 entry = counts.get(nu.parts, (0, 0))
-                oracle_disc = Fraction(entry[0], factorial(d))
-                oracle_conn = Fraction(entry[1], factorial(d))
+                oracle_disc = Fraction(entry[0], dfact)
+                oracle_conn = Fraction(entry[1], dfact)
                 key = (d, b, mu.parts, nu.parts, 0, 0)
                 series_disc = tau.coefficient(key) * factorial(b)
                 series_conn = h.coefficient(key) * factorial(b)
-                formula_disc = cov_with_transpositions(d, mu, nu, b, cache=cache)
+                # no transpositions below degree two: those counts vanish
+                formula_disc = (_class_sum(table, [mu, nu] + swaps * b) if swaps or not b
+                                else Fraction(0))
                 if not (oracle_disc == series_disc == formula_disc):
                     discrepancies.append({
                         "d": d, "b": b, "mu": mu.parts, "nu": nu.parts,
@@ -343,10 +348,11 @@ def count_table(d_max_oracle: int, b_max_oracle: int, *,
     _check_box(d_max_oracle, b_max_oracle, d_cap, b_cap)
     rows = []
     for d in range(1, d_max_oracle + 1):
-        walks = [(mu, _sweep(d, mu.parts, b_max_oracle)) for mu in partitions_of(d)]
+        shapes = list(partitions_of(d))
+        walks = [(mu, _sweep(d, mu.parts, b_max_oracle)) for mu in shapes]
         for b in range(b_max_oracle + 1):
             for mu, levels in walks:
-                for nu in partitions_of(d):
+                for nu in shapes:
                     entry = levels[b].get(nu.parts, (0, 0))
                     rows.append({
                         "d": d, "b": b, "mu": mu.parts, "nu": nu.parts,

@@ -22,7 +22,7 @@ from hurwitz_toda.hurwitz import (
     simple_hurwitz,
 )
 from hurwitz_toda.oracle import count_tuples
-from hurwitz_toda.partitions import Partition, partitions_of
+from hurwitz_toda.partitions import Partition, partitions_of, transposition_class
 from hurwitz_toda.series import make_key
 
 P = Partition
@@ -91,6 +91,42 @@ class TestCovBurnside:
     def test_transposition_wrapper_below_degree_two(self):
         assert cov_with_transpositions(1, P((1,)), P((1,)), 3) == 0
         assert cov_with_transpositions(1, P((1,)), P((1,)), 0) == 1
+
+
+def table_caches():
+    """No cache, one with a seeded character, one with a seeded zero dim."""
+    seeded = CharacterCache()
+    seeded.seed(P((3, 1)), P((2, 1, 1)), 5)  # really 1
+    zero_dim = CharacterCache()
+    zero_dim.seed(P((2, 1)), P((1, 1, 1)), 0)  # really 2
+    return {"default": None, "seeded": seeded, "zero_dim": zero_dim}
+
+
+class TestShapeTable:
+    """The class-algebra counts as compare_all reads them, one table per d."""
+
+    @pytest.mark.parametrize("name", ["default", "seeded", "zero_dim"])
+    def test_table_path_equals_cov_with_transpositions(self, name):
+        cache = table_caches()[name]
+        for d in range(1, 7):
+            table = hurwitz._Shapes(d, cache)
+            swaps = [transposition_class(d)] if d > 1 else []
+            for b in range(6 if swaps else 1):  # no transpositions below degree two
+                for mu in partitions_of(d):
+                    for nu in partitions_of(d):
+                        assert hurwitz._class_sum(table, [mu, nu] + swaps * b) == \
+                            cov_with_transpositions(d, mu, nu, b, cache=cache), (d, b, mu, nu)
+
+    @pytest.mark.parametrize("name", ["seeded", "zero_dim"])
+    def test_poisoned_cache_reaches_the_table(self, name):
+        # the negative control: a seeded value moves the table path's counts
+        cache = table_caches()[name]
+        moved = [(d, mu, nu, b) for d in range(3, 5) for b in range(3)
+                 for mu in partitions_of(d) for nu in partitions_of(d)
+                 if hurwitz._class_sum(hurwitz._Shapes(d, cache),
+                                       [mu, nu] + [transposition_class(d)] * b)
+                 != cov_with_transpositions(d, mu, nu, b)]
+        assert moved
 
 
 class TestSchur:

@@ -1,10 +1,16 @@
 import itertools
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+import hurwitz_toda
 from hurwitz_toda import oracle
 from hurwitz_toda.characters import CharacterCache
 from hurwitz_toda.oracle import (
@@ -102,6 +108,18 @@ def merged_labels(labels, i, j):
     """Orbit labels after the orbits through i and j join."""
     lo, hi = sorted((labels[i], labels[j]))
     return tuple(lo if x == hi else x for x in labels)
+
+
+def record_listings(monkeypatch):
+    """The degrees the oracle module lists partitions_of for, in call order."""
+    listed = []
+
+    def listing(d):
+        listed.append(d)
+        return partitions_of(d)
+
+    monkeypatch.setattr(oracle, "partitions_of", listing)
+    return listed
 
 
 class TestPermutations:
@@ -286,7 +304,7 @@ class TestCompareAll:
             def starmap(self, fn, tasks):
                 return [fn(*t) for t in tasks]
 
-        monkeypatch.setattr(oracle, "Pool", FakePool)
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
         assert compare_all(3, 2, jobs=10_000) == []
         assert sizes == [3]
@@ -312,6 +330,45 @@ class TestCompareAll:
         run(4, 3)
         assert calls == [(d, mu.parts, 3) for d in range(1, 5) for mu in partitions_of(d)]
         assert len(calls) == 11
+
+    def test_one_shape_table_per_degree(self, monkeypatch):
+        # the class-algebra side reads each degree's shapes once: one table
+        # per d, one dim per shape, and no other listing of the shapes
+        built, dims = [], Counter()
+
+        class Counting(CharacterCache):
+            def dimension(self, lam):
+                dims[lam.parts] += 1
+                return super().dimension(lam)
+
+        class Recording(oracle._Shapes):
+            def __init__(self, d, cache):
+                built.append(d)
+                super().__init__(d, cache)
+
+        monkeypatch.setattr(oracle, "_Shapes", Recording)
+        listed = record_listings(monkeypatch)
+        assert compare_all(4, 3, cache=Counting()) == []
+        assert built == [1, 2, 3, 4]
+        assert dims == Counter(lam.parts for d in range(1, 5) for lam in partitions_of(d))
+        assert listed == []
+
+    def test_count_table_lists_each_degree_once(self, monkeypatch):
+        listed = record_listings(monkeypatch)
+        count_table(4, 3)
+        assert listed == [1, 2, 3, 4]
+
+    def test_serial_run_imports_no_multiprocessing(self):
+        code = ("import sys\n"
+                "import hurwitz_toda.cli\n"
+                "from hurwitz_toda.oracle import compare_all\n"
+                "assert compare_all(3, 2) == []\n"
+                "print('multiprocessing' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hurwitz_toda.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
     @pytest.mark.parametrize("run", [compare_all, count_table])
     def test_empty_box_refused(self, run, monkeypatch):
