@@ -7,11 +7,12 @@ as recorded in the BENCH_*.json files.
 
 Imports ``hurwitz_toda`` from DIR (default: ``src/`` of this checkout), so
 the same script times any other checkout whose ``verify`` has
-``_factor_shifts``, whose ``oracle._sweep`` walks every b at once and whose
-``hurwitz`` has the per-degree ``_Shapes`` table; an older checkout is timed
-by its own copy of the script.  Each stage reports the least of REPEATS
-runs, timed with ``time.perf_counter`` in this one process; a cold stage
-starts cold on every run.  For each order (d_max, b_max) it times:
+``_factor_shifts``, whose ``oracle._sweep`` walks types with ``_steps`` and
+answers every b at once, and whose ``hurwitz`` has the per-degree
+``_Shapes`` table; an older checkout is timed by its own copy of the
+script.  Each stage reports the least of REPEATS runs, timed with
+``time.perf_counter`` in this one process; a cold stage starts cold on
+every run.  For each order (d_max, b_max) it times:
 
     build_tau     tau assembly from a cold character cache
     log           tau.log()
@@ -34,8 +35,12 @@ For each oracle order it times the two stages of ``compare`` that do not
 build series:
 
     sweep          oracle._sweep for every (d, mu) task, cold, with the
-                   number of transposition tuples counted over every b and
-                   the sum of the transitive counts (equal on every checkout)
+                   number of transposition tuples counted over every b, the
+                   sum of the transitive counts (both equal on every
+                   checkout) and the states: the distinct types each walk
+                   steps from, one ``_steps`` call each, summed over the
+                   tasks and the levels b < b_max (counted in one untimed
+                   pass)
     class_algebra  the class-algebra count of every (d, b, mu, nu) as
                    ``compare`` evaluates it, from one shape table per d, with
                    the character cache warmed by one untimed pass
@@ -117,8 +122,19 @@ def oracle_stages(ht, d_max: int, b_max: int) -> dict:
         sweep.cache_clear()
         return [sweep(*task) for task in tasks]
 
+    steps, states = ht.oracle._steps, []
+
+    def counting(orbits):
+        states.append(orbits)
+        return steps(orbits)
+
+    ht.oracle._steps = counting
+    try:
+        cold_sweeps()
+    finally:
+        ht.oracle._steps = steps
     s, walks = best(cold_sweeps)
-    out = {"sweep": {"s": s, "tasks": len(tasks),
+    out = {"sweep": {"s": s, "tasks": len(tasks), "states": len(states),
                      "tuples": sum(comb(d, 2) ** b for d, _ in profiles for b in range(b_max + 1)),
                      "transitive": sum(c[1] for levels in walks for counts in levels
                                        for c in counts.values())}}

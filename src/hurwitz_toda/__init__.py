@@ -17,7 +17,7 @@ from .hurwitz import (
     schur_in_power_sums,
     simple_hurwitz,
 )
-from .oracle import MonodromyTuple, OracleLimitError, compare_all, count_tuples
+from .oracle import OracleLimitError, compare_all, count_tuples
 from .partitions import (
     MayaSet,
     Partition,
@@ -43,7 +43,6 @@ __all__ = [
     "CharacterCache",
     "HurwitzRecord",
     "MayaSet",
-    "MonodromyTuple",
     "OracleLimitError",
     "Partition",
     "ShiftTerm",

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -13,24 +14,133 @@ import pytest
 import hurwitz_toda
 from hurwitz_toda import oracle
 from hurwitz_toda.characters import CharacterCache
-from hurwitz_toda.oracle import (
-    MonodromyTuple,
-    OracleLimitError,
-    all_transpositions,
-    class_representative,
-    compare_all,
-    compose,
-    count_tuples,
-    cycle_type,
-    identity_perm,
-    inverse,
-    count_table,
-)
+from hurwitz_toda.oracle import OracleLimitError, compare_all, count_table, count_tuples
 from hurwitz_toda.partitions import Partition, class_size, partitions_of
 from hurwitz_toda.series import make_key
 
 P = Partition
 F = Fraction
+
+# Permutations and their orbits: the brute-force references the type walk
+# in oracle._sweep is checked against.  A permutation is a tuple of images.
+
+
+def identity_perm(d):
+    return tuple(range(d))
+
+
+def compose(a, b):
+    """Apply ``a`` first, then ``b`` (left-to-right composition)."""
+    return tuple(map(b.__getitem__, a))
+
+
+def inverse(p):
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
+
+
+def cycle_type(p):
+    seen = [False] * len(p)
+    lengths = []
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        n, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            n += 1
+        lengths.append(n)
+    return Partition(sorted(lengths, reverse=True))
+
+
+def class_representative(mu):
+    """Permutation of cycle type ``mu`` built from consecutive blocks."""
+    out = []
+    start = 0
+    for part in Partition(mu).parts:
+        out.extend(list(range(start + 1, start + part)) + [start])
+        start += part
+    return tuple(out)
+
+
+def all_transpositions(d):
+    out = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            p = list(range(d))
+            p[i], p[j] = j, i
+            out.append(tuple(p))
+    return out
+
+
+@dataclass(frozen=True)
+class MonodromyTuple:
+    """Monodromy data (sigma0, transpositions, sigma_inf) of one covering."""
+
+    d: int
+    sigma0: tuple
+    transpositions: tuple
+    sigma_inf: tuple
+
+    def product_is_identity(self):
+        p = self.sigma0
+        for t in self.transpositions:
+            p = compose(p, t)
+        return compose(p, self.sigma_inf) == identity_perm(self.d)
+
+    def is_transitive(self):
+        return _is_transitive(self.d, (self.sigma0,) + self.transpositions)
+
+
+def _is_transitive(d, perms):
+    """Union-find over the orbits of the listed permutations."""
+    parent = list(range(d))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = d
+    for p in perms:
+        for i in range(d):
+            ri, rj = find(i), find(p[i])
+            if ri != rj:
+                parent[ri] = rj
+                components -= 1
+    return components == 1
+
+
+def _orbit_labels(p):
+    """Each point labelled by the smallest point of its orbit under ``p``."""
+    labels = list(range(len(p)))
+    for i in range(len(p)):
+        if labels[i] == i:  # no smaller point has reached i: it starts an orbit
+            j = p[i]
+            while j != i:
+                labels[j] = i
+                j = p[j]
+    return tuple(labels)
+
+
+def _orbit_cycles(p, labels):
+    """The type of the state (p, labels): the cycle lengths of ``p`` within
+    each orbit, each sorted, all sorted."""
+    orbits = {}
+    seen = [False] * len(p)
+    for i in range(len(p)):
+        if not seen[i]:
+            n, j = 0, i
+            while not seen[j]:
+                seen[j] = True
+                j = p[j]
+                n += 1
+            orbits.setdefault(labels[i], []).append(n)
+    return tuple(sorted(tuple(sorted(lengths)) for lengths in orbits.values()))
 
 
 def class_elements(d, mu):
@@ -75,12 +185,13 @@ def per_tuple_sweep(d, mu_parts, b):
 
 
 def full_walk_sweep(d, mu_parts, b):
-    """oracle._sweep with every step a state walk: the last transposition is
-    composed and orbit-merged like the others, and each final state's
+    """oracle._sweep on permutation states: from the fixed sigma0, every
+    transposition is composed and orbit-merged, prefixes with equal
+    (product, orbit labels) are counted together, and each final state's
     sigma_inf type is read from its product."""
     mu = P(mu_parts)
     sigma0 = class_representative(mu)
-    states = {(sigma0, oracle._orbit_labels(sigma0)): 1}
+    states = {(sigma0, _orbit_labels(sigma0)): 1}
     swaps = [(t, [k for k in range(d) if t[k] != k]) for t in all_transpositions(d)]
     for _ in range(b):
         reached = {}
@@ -108,6 +219,15 @@ def merged_labels(labels, i, j):
     """Orbit labels after the orbits through i and j join."""
     lo, hi = sorted((labels[i], labels[j]))
     return tuple(lo if x == hi else x for x in labels)
+
+
+def all_types(d):
+    """Every type of degree d: a sorted tuple of orbits, each the sorted
+    cycle lengths of a partition, with sizes summing to d."""
+    return {tuple(sorted(orbits))
+            for sizes in partitions_of(d)
+            for orbits in itertools.product(*([tuple(sorted(lam.parts)) for lam in partitions_of(n)]
+                                              for n in sizes.parts))}
 
 
 def record_listings(monkeypatch):
@@ -203,6 +323,14 @@ class TestCountTuples:
         # overridable
         assert count_tuples(2, P((1, 1)), P((1, 1)), 6, False, b_cap=6) > 0
 
+    def test_one_walk_for_every_b(self):
+        # every b of one (d, mu) is read from one walk to the cap
+        oracle._sweep.cache_clear()
+        for b in range(6):
+            for conn in (False, True):
+                count_tuples(4, P((2, 1, 1)), P((3, 1)), b, conn)
+        assert oracle._sweep.cache_info().misses == 1
+
 
 class TestNaiveAgreement:
     def test_fixed_representative_optimization(self):
@@ -217,7 +345,8 @@ class TestNaiveAgreement:
 
 
 class TestStateWalk:
-    """Every level of one oracle._sweep walk against the per-tuple sweep."""
+    """Every level of one oracle._sweep walk against the per-tuple and the
+    permutation-state sweeps, and its step rules against composition."""
 
     @pytest.mark.parametrize("d,b_max", [(1, 4), (2, 4), (3, 4), (4, 4), (5, 4), (6, 2)])
     def test_same_counts_as_per_tuple(self, d, b_max):
@@ -229,7 +358,7 @@ class TestStateWalk:
                 assert counts == want, (d, mu, b)
                 assert sum(n for n, _ in want.values()) == class_size(mu) * (d * (d - 1) // 2) ** b
 
-    @pytest.mark.parametrize("d,b_max", [(1, 5), (2, 5), (3, 5), (4, 5), (5, 5), (6, 4)])
+    @pytest.mark.parametrize("d,b_max", [(1, 5), (2, 5), (3, 5), (4, 5), (5, 5), (6, 4), (7, 4)])
     def test_same_counts_as_full_walk(self, d, b_max):
         for mu in partitions_of(d):
             levels = oracle._sweep(d, mu.parts, b_max)
@@ -237,38 +366,48 @@ class TestStateWalk:
             for b, counts in enumerate(levels):
                 assert counts == full_walk_sweep(d, mu.parts, b), (d, mu, b)
 
-    def test_last_step_against_composition(self):
-        # every transposition t of random states (p, orbits), d <= 8: the
-        # join/split counts equal the cycle types of p t, and the transitive
-        # ones equal the t after which the orbits are one
+    def test_steps_against_composition(self):
+        # every transposition t of random states (p, orbits), d <= 8, composed
+        # and orbit-merged one at a time: the types of the states reached are
+        # those _steps counts from the type of (p, orbits)
         rng = random.Random(8)
         seen_orbit_counts = set()
         for _ in range(300):
             d = rng.randint(1, 8)
             p = tuple(rng.sample(range(d), d))
-            labels = oracle._orbit_labels(p)
+            labels = _orbit_labels(p)
             for _ in range(rng.randint(0, d)):
                 labels = merged_labels(labels, rng.randrange(d), rng.randrange(d))
             seen_orbit_counts.add(min(len(set(labels)), 3))
-            want = {}
+            want = Counter()
             for t in all_transpositions(d):
                 i, j = (k for k in range(d) if t[k] != k)
-                entry = want.setdefault(cycle_type(compose(p, t)).parts, [0, 0])
-                entry[0] += 1
-                entry[1] += len(set(merged_labels(labels, i, j))) == 1
-            assert oracle._last_step(oracle._orbit_cycles(p, labels)) == want, (p, labels)
+                want[_orbit_cycles(compose(p, t), merged_labels(labels, i, j))] += 1
+            assert oracle._steps(_orbit_cycles(p, labels)) == want, (p, labels)
         assert seen_orbit_counts == {1, 2, 3}
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_steps_count_every_transposition(self, d):
+        # every type of degree d: its step counts sum to C(d, 2) and reach
+        # only types of degree d; the types are the multisets of partitions
+        # of total size d (OEIS A001970)
+        types = all_types(d)
+        assert len(types) == [1, 3, 6, 14, 27, 58, 111, 223][d - 1]
+        for orbits in types:
+            steps = oracle._steps(orbits)
+            assert sum(steps.values()) == d * (d - 1) // 2, orbits
+            assert set(steps) <= types, orbits
 
     def test_orbit_cycles(self):
         # orbits {0, 1, 2} and {3, 4, 5}; p has cycles (0 1), (2), (3 4 5)
         p, labels = (1, 0, 2, 4, 5, 3), (0, 0, 0, 3, 3, 3)
-        assert oracle._orbit_cycles(p, labels) == ((1, 2), (3,))
-        assert oracle._orbit_cycles(identity_perm(3), (0, 1, 2)) == ((1,), (1,), (1,))
+        assert _orbit_cycles(p, labels) == ((1, 2), (3,))
+        assert _orbit_cycles(identity_perm(3), (0, 1, 2)) == ((1,), (1,), (1,))
 
     def test_orbit_labels_are_smallest_points(self):
-        assert oracle._orbit_labels((1, 2, 0, 4, 3, 5)) == (0, 0, 0, 3, 3, 5)
-        assert oracle._orbit_labels((3, 2, 1, 0)) == (0, 1, 1, 0)
-        assert oracle._orbit_labels(identity_perm(3)) == (0, 1, 2)
+        assert _orbit_labels((1, 2, 0, 4, 3, 5)) == (0, 0, 0, 3, 3, 5)
+        assert _orbit_labels((3, 2, 1, 0)) == (0, 1, 1, 0)
+        assert _orbit_labels(identity_perm(3)) == (0, 1, 2)
 
 
 class TestCompareAll:
@@ -284,6 +423,14 @@ class TestCompareAll:
         key = make_key(dq=6, b=5, mu=(2, 2, 1, 1), nu=(3, 3))
         bad = compare_all(6, 5, corruption=key)
         assert [(r["d"], r["b"], r["mu"], r["nu"]) for r in bad] == [(6, 5, (2, 2, 1, 1), (3, 3))] * 2
+
+    def test_raised_degree_cap(self):
+        assert compare_all(8, 5, d_cap=8) == []
+        key = make_key(dq=8, b=5, mu=(3, 3, 1, 1), nu=(5, 2, 1))
+        bad = compare_all(8, 5, d_cap=8, corruption=key)
+        assert [(r["d"], r["b"], r["mu"], r["nu"], r["kind"]) for r in bad] == [
+            (8, 5, (3, 3, 1, 1), (5, 2, 1), "disconnected"),
+            (8, 5, (3, 3, 1, 1), (5, 2, 1), "connected")]
 
     def test_parallel_matches_serial(self):
         assert compare_all(3, 2, jobs=2) == []
