@@ -9,10 +9,10 @@ Imports ``hurwitz_toda`` from DIR (default: ``src/`` of this checkout), so
 the same script times any other checkout whose ``verify`` has
 ``_factor_shifts``, whose ``oracle._sweep`` walks types with ``_steps`` and
 answers every b at once, and whose ``hurwitz`` has the per-degree
-``_Shapes`` table; an older checkout is timed by its own copy of the
-script.  Each stage reports the least of REPEATS runs, timed with
-``time.perf_counter`` in this one process; a cold stage starts cold on
-every run.  For each order (d_max, b_max) it times:
+``_Shapes`` table and an integer ``_class_sum``; an older checkout is timed
+by its own copy of the script.  Each stage reports the least of REPEATS
+runs, timed with ``time.perf_counter`` in this one process; a cold stage
+starts cold on every run.  For each order (d_max, b_max) it times:
 
     build_tau     tau assembly from a cold character cache
     log           tau.log()
@@ -41,12 +41,13 @@ build series:
                    steps from, one ``_steps`` call each, summed over the
                    tasks and the levels b < b_max (counted in one untimed
                    pass)
-    class_algebra  the class-algebra count of every (d, b, mu, nu) as
+    class_algebra  the class-algebra numerator of every (d, b, mu, nu) as
                    ``compare`` evaluates it, from one shape table per d, with
                    the character cache warmed by one untimed pass
 
-and exits nonzero unless every class-algebra count equals the sweep's
-disconnected count over d!.
+and exits nonzero unless every class-algebra numerator, over L^k d!^2 for
+k = b + 2 classes and L the lcm of the dims, equals the sweep's disconnected
+count over d!: in integers, the count times L^k d!.
 
 An empty ``--orders`` or ``--oracle`` (no values, or ``""``) skips that
 part.  Prints one JSON object.
@@ -59,7 +60,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from math import comb, factorial
 
 REPEATS = 3
@@ -144,18 +144,21 @@ def oracle_stages(ht, d_max: int, b_max: int) -> dict:
     cache = ht.CharacterCache()
 
     def class_algebra():
-        # as compare_all: no transpositions below degree two
+        # as compare_all: integer numerators, none below degree two
         tables = {d: ht.hurwitz._Shapes(d, cache) for d in swaps}
         return [ht.hurwitz._class_sum(tables[d], [mu, nu] + swaps[d] * b)
                 if swaps[d] or not b else 0 for d, mu, nu, b in calls]
 
     class_algebra()
-    s, counts = best(class_algebra)
+    s, numerators = best(class_algebra)
+    common = {d: ht.hurwitz._Shapes(d, cache).common for d in swaps}
     disconnected = dict(zip(profiles, walks))
-    for (d, mu, nu, b), count in zip(calls, counts):
-        entry = disconnected[(d, mu)][b].get(nu.parts, (0, 0))
-        if count != Fraction(entry[0], factorial(d)):
-            raise SystemExit(f"class-algebra count {count} != sweep at {(d, b, mu.parts, nu.parts)}")
+    for (d, mu, nu, b), numerator in zip(calls, numerators):
+        # the numerator is over L^k d!^2 with k = b + 2, the count over d!
+        count = disconnected[(d, mu)][b].get(nu.parts, (0, 0))[0]
+        if count * common[d] ** (b + 2) * factorial(d) != numerator:
+            raise SystemExit(f"class-algebra numerator {numerator} != sweep count {count}"
+                             f" times L^{b + 2} {d}! at {(d, b, mu.parts, nu.parts)}")
     out["class_algebra"] = {"s": s, "calls": len(calls)}
     return out
 

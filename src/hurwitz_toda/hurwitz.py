@@ -88,14 +88,14 @@ class _Shapes:
         return self._rows[c]
 
 
-def _class_sum(table: _Shapes, classes: list[Partition]) -> Fraction:
-    """cov_burnside of ``classes``, all of size table.d: each shape's
-    dim^2 prod |C| chi_C / dim^k brought to L^k, summed, over L^k d!^2."""
+def _class_sum(table: _Shapes, classes: list[Partition]) -> int:
+    """The numerator of cov_burnside of ``classes``, all of size table.d, over
+    L^k d!^2: each shape's dim^2 prod |C| chi_C / dim^k brought to L^k, summed."""
     k = len(classes)
     terms = [dim * dim * (table.common // dim) ** k if dim else 0 for dim in table.dims]
     for c, m in Counter(classes).items():
         terms = [x * y ** m for x, y in zip(terms, table.row(c))]
-    return Fraction(sum(terms), table.common ** k * factorial(table.d) ** 2)
+    return sum(terms)
 
 
 def cov_burnside(d: int, classes: list[Partition], *,
@@ -111,7 +111,8 @@ def cov_burnside(d: int, classes: list[Partition], *,
     for c in classes:
         if c.size != d:
             raise ValueError(f"class {c} does not have size {d}")
-    return _class_sum(_Shapes(d, cache), classes)
+    table = _Shapes(d, cache)
+    return Fraction(_class_sum(table, classes), table.common ** len(classes) * factorial(d) ** 2)
 
 
 def cov_with_transpositions(d: int, mu: Partition, nu: Partition, b: int, *,
@@ -273,9 +274,7 @@ def build_tau(d_max: int, b_max: int, *,
 def corrupted(tau: TruncatedSeries, key: Key | None) -> TruncatedSeries:
     """tau with its coefficient at ``key`` raised by one, as a negative
     control; tau itself when ``key`` is None."""
-    if key is None:
-        return tau
-    return tau.with_coefficient(key, tau.coefficient(key) + 1)
+    return tau if key is None else tau.with_coefficient(key, tau.coefficient(key) + 1)
 
 
 def connected_series(tau: TruncatedSeries) -> TruncatedSeries:

@@ -18,7 +18,8 @@ of each, never a permutation.  sigma_inf has the cycle type of the product,
 and the tuple is transitive when one orbit is left, so one walk per sigma0
 class answers every b up to the box's b_max.  The count reads no character,
 class-algebra value or series, so it stays an independent check of those
-routes, which only ``compare_all`` calls.
+routes: ``compare_all`` compares its integer counts with the tau and log
+cells and the class-algebra numerators, and calls no series code.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from functools import lru_cache
 from itertools import starmap
 from math import factorial
 
-from .characters import CharacterCache
-from .hurwitz import _Shapes, _class_sum, build_tau, connected_series, corrupted
+from .characters import DEFAULT_CACHE, CharacterCache
+# build_tau is not called here; perfbench/tracer.py's tests read oracle.build_tau
+from .hurwitz import _Cells, _Shapes, _class_sum, _store, build_tau
 from .partitions import Partition, class_size, partitions_of, transposition_class
+from .series import make_key
 
 DEFAULT_D_CAP = 6
 DEFAULT_B_CAP = 5
@@ -120,9 +123,7 @@ def count_tuples(d: int, mu: Partition, nu: Partition, b: int,
         raise OracleLimitError("oracle scale limit")
     if d == 0:
         return Fraction(1) if b == 0 else Fraction(0)
-    entry = _sweep(d, mu.parts, b_cap)[b].get(nu.parts)
-    if entry is None:
-        return Fraction(0)
+    entry = _sweep(d, mu.parts, b_cap)[b].get(nu.parts, (0, 0))
     return Fraction(entry[1] if connected_only else entry[0], factorial(d))
 
 
@@ -141,20 +142,32 @@ def compare_all(d_max_oracle: int, b_max_oracle: int, *,
                 d_cap: int = DEFAULT_D_CAP, b_cap: int = DEFAULT_B_CAP,
                 cache: CharacterCache | None = None,
                 corruption: tuple | None = None) -> list[dict]:
-    """Cross-check every in-range count against the character-sum routes.
+    """Cross-check every in-range tuple count against the character-sum routes.
 
-    For each (d, b, mu, nu): the disconnected tuple count over d! must equal
-    both the class-algebra formula and b! times the tau coefficient, and the
-    transitive count over d! must equal b! times the log tau coefficient.
-    Returns one record per disagreement; empty list means full agreement.
-    ``corruption`` bumps one tau coefficient by +1 before comparing (negative
-    control).  One walk per (d, mu) and one shape table per d serve every b;
-    the walks run on at most ``jobs`` worker processes, never more than the
-    CPU count.
+    For each (d, b, mu, nu) the walk's count of all tuples must equal the tau
+    cell, d! b! times the coefficient, and times L^k d! the class-algebra
+    numerator over L^k d!^2 (k = b + 2 classes); its transitive count must
+    equal the log cell.  The cells are those ``table`` and ``double`` read.
+    Integers only, with Fractions (each side over d!) just in the records
+    returned, one per disagreement; empty list means full agreement.
+    ``corruption``, a count compare reads, bumps its tau coefficient by +1 in
+    fresh cells (negative control).  One walk per (d, mu) and one shape table
+    per d serve every b; the walks run on at most ``jobs`` worker processes.
     """
     _check_box(d_max_oracle, b_max_oracle, d_cap, b_cap)
-    tau = corrupted(build_tau(d_max_oracle, b_max_oracle, cache=cache), corruption)
-    h = connected_series(tau)
+    if corruption is None:
+        cells = _store(cache)
+    else:
+        dq, b, mu, nu = corruption[:4]
+        if not (1 <= dq <= d_max_oracle and b <= b_max_oracle and sum(mu) == sum(nu) == dq
+                and corruption == make_key(dq, b, mu, nu)):
+            raise ValueError(f"corruption {corruption} is not a count compare reads")
+        cells = _Cells(cache or DEFAULT_CACHE)
+        cells.grow_tau(d_max_oracle, b_max_oracle)
+        cell = cells.tau[(dq, b)]
+        cell[corruption] = cell.get(corruption, 0) + factorial(dq) * factorial(b)
+    with cells.lock:  # a grown cell never changes, so it is read outside the lock
+        cells.grow_log(d_max_oracle, b_max_oracle)
 
     tables = [_Shapes(d, cache) for d in range(1, d_max_oracle + 1)]
     profiles = [(table, mu) for table in tables for mu in table.shapes]
@@ -172,30 +185,23 @@ def compare_all(d_max_oracle: int, b_max_oracle: int, *,
         d, dfact = table.d, factorial(table.d)
         swaps = [transposition_class(d)] if d > 1 else []
         for b, counts in enumerate(levels):
+            tau, scale = cells.tau[(d, b)], table.common ** (b + 2) * dfact
             for nu in table.shapes:
-                entry = counts.get(nu.parts, (0, 0))
-                oracle_disc = Fraction(entry[0], dfact)
-                oracle_conn = Fraction(entry[1], dfact)
                 key = (d, b, mu.parts, nu.parts, 0, 0)
-                series_disc = tau.coefficient(key) * factorial(b)
-                series_conn = h.coefficient(key) * factorial(b)
+                every, transitive = counts.get(nu.parts, (0, 0))
+                disc, conn = tau.get(key, 0), cells.h.get(key, 0)
                 # no transpositions below degree two: those counts vanish
-                formula_disc = (_class_sum(table, [mu, nu] + swaps * b) if swaps or not b
-                                else Fraction(0))
-                if not (oracle_disc == series_disc == formula_disc):
+                formula = _class_sum(table, [mu, nu] + swaps * b) if swaps or not b else 0
+                if not (every == disc and every * scale == formula):
                     discrepancies.append({
-                        "d": d, "b": b, "mu": mu.parts, "nu": nu.parts,
-                        "kind": "disconnected",
-                        "oracle": oracle_disc, "series": series_disc,
-                        "formula": formula_disc,
-                    })
-                if oracle_conn != series_conn:
+                        "d": d, "b": b, "mu": mu.parts, "nu": nu.parts, "kind": "disconnected",
+                        "oracle": Fraction(every, dfact), "series": Fraction(disc, dfact),
+                        "formula": Fraction(formula, scale * dfact)})
+                if transitive != conn:
                     discrepancies.append({
-                        "d": d, "b": b, "mu": mu.parts, "nu": nu.parts,
-                        "kind": "connected",
-                        "oracle": oracle_conn, "series": series_conn,
-                        "formula": None,
-                    })
+                        "d": d, "b": b, "mu": mu.parts, "nu": nu.parts, "kind": "connected",
+                        "oracle": Fraction(transitive, dfact), "series": Fraction(conn, dfact),
+                        "formula": None})
     return discrepancies
 
 

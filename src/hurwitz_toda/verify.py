@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .characters import CharacterCache
 from .hurwitz import build_tau, corrupted, format_rational, simple_hurwitz
 from .series import Key, ShiftTerm, TruncatedSeries, key_to_json_obj, make_key
 
@@ -126,19 +125,17 @@ def toda_residual(tau: TruncatedSeries) -> TruncatedSeries:
 
 
 def verify_toda(d_max: int, b_max: int, *,
-                corruption: Key | None = None,
-                cache: CharacterCache | None = None) -> VerificationReport:
+                corruption: Key | None = None) -> VerificationReport:
     """Check the lowest lattice equation on the series at (d_max, b_max)."""
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
-    tau = corrupted(build_tau(d_max, b_max, cache=cache), corruption)
+    tau = corrupted(build_tau(d_max, b_max), corruption)
     residual = toda_residual(tau)
     return _report("toda", {"d_max": d_max, "b_max": b_max}, residual)
 
 
 def verify_tau_n(n: int, d_max: int, b_max: int, *,
-                 corruption: Key | None = None,
-                 cache: CharacterCache | None = None) -> VerificationReport:
+                 corruption: Key | None = None) -> VerificationReport:
     """Check the lattice equation at site n of T_n = e^{n(4n^2-1) beta/24} tau(e^{n beta} q).
 
     T_n is the charge-n tau function without its q^{n^2/2} prefactor, a
@@ -151,7 +148,7 @@ def verify_tau_n(n: int, d_max: int, b_max: int, *,
         raise ValueError("charge shift restricted to |n| <= 3")
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
-    tau = corrupted(build_tau(d_max, b_max, cache=cache), corruption)
+    tau = corrupted(build_tau(d_max, b_max), corruption)
     t_n, lattice = _lattice(tau, n)
     residual = t_n.scale_q_exp(-n).mul_exp_beta(_charge_exponent(-n)) - tau + lattice
     return _report(
@@ -183,8 +180,7 @@ IDENTITIES_OF_EVERY_SERIES = frozenset({(-1, 1, "p"), (-1, 1, "pprime"),
 
 def verify_hirota(m: int, n_s: int, d_max: int, b_max: int, *,
                   side: str = "pprime",
-                  corruption: Key | None = None,
-                  cache: CharacterCache | None = None) -> VerificationReport:
+                  corruption: Key | None = None) -> VerificationReport:
     """Check one bilinear lattice-hierarchy equation at first order.
 
     The equation equates two z-coefficient extractions of products of four
@@ -215,7 +211,7 @@ def verify_hirota(m: int, n_s: int, d_max: int, b_max: int, *,
     if corruption is not None and (m, n_s, side) in IDENTITIES_OF_EVERY_SERIES:
         raise ValueError(f"hirota (m, n_s, side) = {(m, n_s, side)} holds for every series,"
                          " so a corrupted tau cannot fail it")
-    tau = corrupted(build_tau(d_max, b_max, cache=cache), corruption)
+    tau = corrupted(build_tau(d_max, b_max), corruption)
     primed = side == "pprime"
 
     def read(cap: int, scale: int, common: int, zv_sign: int, zv_prime: bool,
@@ -312,8 +308,7 @@ def _x_recursion(d_max: int, b_max: int) -> dict[tuple[int, int], Fraction]:
 
 
 def verify_toda_specialized(u_max: int, *,
-                            corruption: Key | None = None,
-                            cache: CharacterCache | None = None) -> VerificationReport:
+                            corruption: Key | None = None) -> VerificationReport:
     """Check the trivial-profile specialization of the lowest equation.
 
     Three components, all folded into one residual series:
@@ -329,7 +324,7 @@ def verify_toda_specialized(u_max: int, *,
     if u_max < 1:
         raise ValueError("u_max must be at least 1")
     d_max, b_max = u_max, 2 * u_max - 2
-    tau = corrupted(build_tau(d_max, b_max, cache=cache), corruption)
+    tau = corrupted(build_tau(d_max, b_max), corruption)
     restricted = tau.truncate_parts(1)
 
     structural = restricted.filtered(
@@ -353,7 +348,7 @@ def verify_toda_specialized(u_max: int, *,
         g = 0
         while 2 * g + 2 * d - 2 <= b_max:
             b = 2 * g + 2 * d - 2
-            want = simple_hurwitz(g, d, cache=cache)
+            want = simple_hurwitz(g, d)
             got = h_rec.coefficient(make_key(dq=d, b=b, mu=(1,) * d, nu=(1,) * d))
             diff = got * factorial(b) - want
             if diff:

@@ -12,11 +12,12 @@ from math import factorial
 import pytest
 
 import hurwitz_toda
-from hurwitz_toda import oracle
-from hurwitz_toda.characters import CharacterCache
+from hurwitz_toda import hurwitz, oracle
+from hurwitz_toda.characters import DEFAULT_CACHE, CharacterCache
+from hurwitz_toda.hurwitz import build_tau, connected_series, hurwitz_table
 from hurwitz_toda.oracle import OracleLimitError, compare_all, count_table, count_tuples
 from hurwitz_toda.partitions import Partition, class_size, partitions_of
-from hurwitz_toda.series import make_key
+from hurwitz_toda.series import TruncatedSeries, make_key
 
 P = Partition
 F = Fraction
@@ -428,9 +429,12 @@ class TestCompareAll:
         assert compare_all(8, 5, d_cap=8) == []
         key = make_key(dq=8, b=5, mu=(3, 3, 1, 1), nu=(5, 2, 1))
         bad = compare_all(8, 5, d_cap=8, corruption=key)
-        assert [(r["d"], r["b"], r["mu"], r["nu"], r["kind"]) for r in bad] == [
-            (8, 5, (3, 3, 1, 1), (5, 2, 1), "disconnected"),
-            (8, 5, (3, 3, 1, 1), (5, 2, 1), "connected")]
+        # the bump is one coefficient, b! = 120 on each count over d!
+        row = {"d": 8, "b": 5, "mu": (3, 3, 1, 1), "nu": (5, 2, 1)}
+        assert bad == [
+            {**row, "kind": "disconnected", "oracle": F(190125, 2), "series": F(190365, 2),
+             "formula": F(190125, 2)},
+            {**row, "kind": "connected", "oracle": F(44100), "series": F(44220), "formula": None}]
 
     def test_parallel_matches_serial(self):
         assert compare_all(3, 2, jobs=2) == []
@@ -544,6 +548,98 @@ class TestCompareAll:
         bad = compare_all(2, 1, cache=cache)
         assert bad
         assert bad[0]["d"] == 2
+
+    @pytest.mark.parametrize("key", [
+        make_key(dq=1, mu=(1,), nu=(1,)),
+        make_key(dq=3, b=2, mu=(3,), nu=(2, 1)),
+        make_key(dq=2, b=1, mu=(2,), nu=(2,)),  # a zero count
+    ], ids=["lowest_degree", "box_corner", "zero_count"])
+    def test_corruption_inside_the_box_is_read(self, key):
+        bad = compare_all(3, 2, corruption=key)
+        assert [(r["d"], r["b"], r["mu"], r["nu"], r["kind"]) for r in bad[:2]] == [
+            (*key[:4], "disconnected"), (*key[:4], "connected")]
+
+    @pytest.mark.parametrize("key", [
+        make_key(dq=2, mu=(1,), nu=(1,)),
+        make_key(dq=2, mu=(2,), nu=(1,)),
+        make_key(dq=2, mu=(1,), nu=(1, 1)),
+        make_key(dq=0, b=1),  # tau has no beta without q
+        make_key(),
+        make_key(dq=4, mu=(4,), nu=(4,)),
+        make_key(dq=3, b=3, mu=(3,), nu=(3,)),
+        make_key(dq=1, mu=(1,), nu=(1,), z=1),
+        make_key(dq=1, mu=(1,), nu=(1,), s=1),
+        (3, 0, (1, 2), (3,), 0, 0),
+    ], ids=["profiles_below_degree", "nu_below_degree", "mu_below_degree", "beta_without_q",
+            "constant", "past_d_max", "past_b_max", "z", "s", "unsorted_parts"])
+    def test_corruption_compare_never_reads_refused(self, key, monkeypatch):
+        # a bump that no comparison reads could not fail: refused before any work
+        def no_work(*args):
+            raise AssertionError("no work may start")
+
+        monkeypatch.setattr(oracle, "_sweep", no_work)
+        monkeypatch.setattr(oracle, "_Cells", no_work)
+        with pytest.raises(ValueError, match="is not a count compare reads"):
+            compare_all(3, 2, corruption=key)
+
+    def test_corruption_leaves_the_shared_store_alone(self, monkeypatch):
+        monkeypatch.setattr(hurwitz, "_STORE", hurwitz._Cells(DEFAULT_CACHE))
+        assert compare_all(6, 5, corruption=make_key(dq=2, b=1, mu=(2,), nu=(1, 1)))
+        assert hurwitz._STORE.tau_box == (0, 0)
+        assert hurwitz_table(6, 5) == hurwitz_table(6, 5, cache=CharacterCache())
+        assert compare_all(6, 5) == []
+
+    def test_integer_counts_only(self, monkeypatch):
+        # compare reads the cells: no tau series, no graded log, and no
+        # Fraction at all while every count agrees, with cold caches and cells
+        def refused(*args, **kwargs):
+            raise AssertionError("compare builds no series")
+
+        for owner, name in [(hurwitz, "build_tau"), (oracle, "build_tau"),
+                            (hurwitz, "connected_series"), (TruncatedSeries, "log")]:
+            monkeypatch.setattr(owner, name, refused)
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        assert compare_all(6, 5, cache=CharacterCache()) == []
+        assert compare_all(6, 5) == []
+        assert built == []
+
+
+class TestSeriesAgainstWalk:
+    """The series routes compare no longer reads, against the walk's counts:
+    tau and its graded log, coefficient by coefficient, at (5, 4)."""
+
+    def walk_counts(self, which):
+        counts = {}
+        for d in range(1, 6):
+            for mu in partitions_of(d):
+                for b, level in enumerate(oracle._sweep(d, mu.parts, 4)):
+                    for nu, entry in level.items():
+                        if entry[which]:
+                            counts[(d, b, mu.parts, nu, 0, 0)] = F(entry[which], factorial(d))
+        return counts
+
+    def series_counts(self, series):
+        # b! times each coefficient above the constant term
+        return {key: x * factorial(key[1]) for key, x in series.terms() if key[0]}
+
+    @pytest.mark.parametrize("cache", [None, CharacterCache()], ids=["shared", "fresh"])
+    def test_tau_coefficients_are_all_tuple_counts(self, cache):
+        tau = build_tau(5, 4, cache=cache)
+        assert tau.constant_term() == 1
+        assert self.series_counts(tau) == self.walk_counts(0)
+
+    @pytest.mark.parametrize("cache", [None, CharacterCache()], ids=["shared", "fresh"])
+    def test_log_coefficients_are_transitive_counts(self, cache):
+        h = connected_series(build_tau(5, 4, cache=cache))
+        assert h.constant_term() == 0
+        assert self.series_counts(h) == self.walk_counts(1)
 
 
 class TestCountTable:
