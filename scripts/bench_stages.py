@@ -7,8 +7,8 @@ as recorded in the BENCH_*.json files.
 
 Imports ``hurwitz_toda`` from DIR (default: ``src/`` of this checkout), so
 the same script times any other checkout whose ``verify`` has
-``_factor_shifts``, whose ``oracle._sweep`` walks types with ``_steps`` and
-answers every b at once, and whose ``hurwitz`` has the per-degree
+``_factor_shifts``, whose ``oracle._sweep`` walks types with a memoized
+``_steps`` and answers every b at once, and whose ``hurwitz`` has the per-degree
 ``_Shapes`` table and an integer ``_class_sum``; an older checkout is timed
 by its own copy of the script.  Each stage reports the least of REPEATS
 runs, timed with ``time.perf_counter`` in this one process; a cold stage
@@ -17,30 +17,29 @@ starts cold on every run.  For each order (d_max, b_max) it times:
     build_tau     tau assembly from a cold character cache
     log           tau.log()
     scale_q_exp   tau.scale_q_exp(2), as Hirota's m = 0 left factor uses it
-    d_dp          dtau/dp1, dtau/dp'1 and d2tau/dp1dp'1, toda_residual's
-                  three derivatives
-    scaled        tau(e^beta q) tau(e^-beta q) at cap d_max - 1, by
-                  balanced_square
-    tau_mixed     tau * d2tau/dp1dp'1
-    d1_d1p        (dtau/dp1)(dtau/dp'1)
+    toda_residual the lowest equation's residual, one pass over the pairs
+                  of tau's rows
+    tau_n         verify_tau_n at n = 1 and n = -1, tau read from the
+                  default cells grown by one untimed build
     hirota_shift  the four shift_p calls of verify_hirota(0, 1), on their
                   lifted, q-scaled inputs (the left two at cap d_max - 1)
     extract_z     the z-extractions of verify_hirota(0, 1), prefactor
                   included, from the products of the shifted factors
 
 with the term count of each result, and exits nonzero unless the Toda
-residual vanishes.  scaled, tau_mixed and d1_d1p are toda_residual's three
-products, in its order.
+and both tau-n residuals vanish.
 For each oracle order it times the two stages of ``compare`` that do not
 build series:
 
     sweep          oracle._sweep for every (d, mu) task, cold, with the
                    number of transposition tuples counted over every b, the
                    sum of the transitive counts (both equal on every
-                   checkout) and the states: the distinct types each walk
+                   checkout), the states: the distinct types each walk
                    steps from, one ``_steps`` call each, summed over the
-                   tasks and the levels b < b_max (counted in one untimed
-                   pass)
+                   tasks and the levels b < b_max, and the types: how many
+                   distinct types those calls step (both counted in one
+                   untimed pass); ``_steps`` is memoized, so a cold sweep
+                   clears its cache too
     class_algebra  the class-algebra numerator of every (d, b, mu, nu) as
                    ``compare`` evaluates it, from one shape table per d, with
                    the character cache warmed by one untimed pass
@@ -88,13 +87,14 @@ def stages(ht, d_max: int, b_max: int) -> dict:
                    lambda: [ht.build_tau(d_max, b_max, cache=ht.CharacterCache())])
     timed("log", lambda: [tau.log()])
     timed("scale_q_exp", lambda: [tau.scale_q_exp(2)])
-    d1, d1p, mixed = timed("d_dp", lambda: [
-        d1 := tau.d_dp(1), tau.d_dp(1, prime=True), d1.d_dp(1, prime=True)])
-    (scaled,) = timed("scaled", lambda: [tau.with_caps(d_max=d_max - 1).balanced_square()])
-    (tau_mixed,) = timed("tau_mixed", lambda: [tau * mixed])
-    (d1_d1p,) = timed("d1_d1p", lambda: [d1 * d1p])
-    if not (tau_mixed - d1_d1p - scaled.with_caps(d_max=d_max).mul_q_power(1)).is_zero():
+    (residual,) = timed("toda_residual", lambda: [ht.verify.toda_residual(tau)])
+    if not residual.is_zero():
         raise SystemExit(f"toda residual nonzero at ({d_max}, {b_max})")
+    ht.build_tau(d_max, b_max)
+    residuals = timed("tau_n", lambda: [ht.verify_tau_n(n, d_max, b_max).residual
+                                        for n in (1, -1)])
+    if not all(r.is_zero() for r in residuals):
+        raise SystemExit(f"tau-n residual nonzero at ({d_max}, {b_max})")
 
     # verify_hirota's four factors at m = 0, n_s = 1, side pprime: (q cap,
     # top z power read, q-scaling, sign of s, sign of the z-vector, z-vector
@@ -116,13 +116,12 @@ def stages(ht, d_max: int, b_max: int) -> dict:
 def oracle_stages(ht, d_max: int, b_max: int) -> dict:
     profiles = [(d, mu) for d in range(1, d_max + 1) for mu in ht.partitions_of(d)]
     tasks = [(d, mu.parts, b_max) for d, mu in profiles]
-    sweep = ht.oracle._sweep
+    sweep, steps, states = ht.oracle._sweep, ht.oracle._steps, []
 
     def cold_sweeps():
         sweep.cache_clear()
+        steps.cache_clear()
         return [sweep(*task) for task in tasks]
-
-    steps, states = ht.oracle._steps, []
 
     def counting(orbits):
         states.append(orbits)
@@ -135,6 +134,7 @@ def oracle_stages(ht, d_max: int, b_max: int) -> dict:
         ht.oracle._steps = steps
     s, walks = best(cold_sweeps)
     out = {"sweep": {"s": s, "tasks": len(tasks), "states": len(states),
+                     "types": len(set(states)),
                      "tuples": sum(comb(d, 2) ** b for d, _ in profiles for b in range(b_max + 1)),
                      "transitive": sum(c[1] for levels in walks for counts in levels
                                        for c in counts.values())}}

@@ -44,15 +44,17 @@ class OracleLimitError(ValueError):
     """Raised when a request exceeds the configured enumeration caps."""
 
 
-def _steps(orbits: tuple) -> dict:
-    """{next type: transpositions t taking p there} for p of type ``orbits``.
+@lru_cache(maxsize=None)
+def _steps(orbits: tuple) -> tuple:
+    """((next type, transpositions t taking p there), ...) for p of type ``orbits``.
 
     A type is the sorted tuple, over orbits, of the sorted cycle lengths of
     p within the orbit.  With i and j in one cycle of length L, t = (i j)
     splits it into delta and L - delta: L transpositions for each
     delta < L/2, and L/2 for delta = L/2.  With i and j in cycles of lengths
     a and c, a c transpositions join them into one of length a + c, merging
-    their orbits when those differ.  The counts sum to C(d, 2).
+    their orbits when those differ.  The counts sum to C(d, 2).  Each type
+    is stepped once per process; the shared value is an immutable tuple.
     """
     counts: dict = {}
 
@@ -71,7 +73,7 @@ def _steps(orbits: tuple) -> dict:
             for m in range(k + 1, len(orbits)):
                 for z, c in enumerate(orbits[m]):
                     reach((k, m), others + orbits[m][:z] + orbits[m][z + 1:] + (a + c,), a * c)
-    return counts
+    return tuple(counts.items())
 
 
 @lru_cache(maxsize=None)
@@ -91,7 +93,7 @@ def _sweep(d: int, mu_parts: tuple, b_max: int) -> tuple:
         if b:
             reached: dict = {}
             for orbits, n in walk.items():
-                for after, number in _steps(orbits).items():
+                for after, number in _steps(orbits):
                     reached[after] = reached.get(after, 0) + n * number
             walk = reached
         counts: dict[tuple, list[int]] = {}

@@ -253,40 +253,6 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def balanced_square(self) -> "TruncatedSeries":
-        """f(e^beta q) * f(e^{-beta} q) at these caps, from the q-degree blocks f_a of f.
-
-        The blocks (a, b) and (b, a) of the product sum to
-        2 cosh((b - a) beta) f_a f_b, so only the pairs a <= b with
-        a + b <= d_max are multiplied, on f's own beta-vectors.  Each block
-        with c = b - a > 0 is then convolved with 2 cosh(c beta), the sum
-        over even j of 2 c^j beta^j / j!; over B! with B = b_max its weights
-        are the integers 2 c^j (B!/j!), so the result sits over den^2 B!.
-        """
-        d_max, b_max, caps = self.d_max, self.b_max, self._caps()
-        top = factorial(b_max)
-        groups = _grouped(self._nums)
-        merged: dict = {}
-        out: dict = {}
-        for c in range(d_max + 1):
-            acc: dict = {}
-            for a in range((d_max - c) // 2 + 1):
-                if a in groups and a + c in groups:
-                    _mul_groups(acc, {a: groups[a]}, {a + c: groups[a + c]}, caps, merged)
-            # weights of beta^0, beta^2, beta^4, ...; reach[b] pairs each with
-            # the beta-degree it carries a term at beta^b to
-            weights = [2 * c ** j * (top // factorial(j)) for j in range(0, b_max + 1, 2)] if c else [top]
-            reach = [list(zip(range(b, b_max + 1, 2), weights)) for b in range(b_max + 1)]
-            for gkey, vec in acc.items():
-                target = out.get(gkey)
-                if target is None:
-                    target = out[gkey] = [0] * (b_max + 1)
-                for b, x in enumerate(vec):
-                    if x:
-                        for j, w in reach[b]:
-                            target[j] += x * w
-        return self._same_caps(dict(_flat(out)), self._den * self._den * top)
-
     # -- analytic operations (finite under truncation) -------------------------
 
     def exp(self) -> "TruncatedSeries":
@@ -591,6 +557,87 @@ def _mul_groups(acc: dict, a: Groups, b: Groups, caps: tuple, merged: dict) -> N
                                     if b2 > lim:
                                         break
                                     vec[b1 + b2] += x * y
+
+
+def _toda_pairs(f: TruncatedSeries) -> TruncatedSeries:
+    """f d2f/dp1dp'1 - (df/dp1)(df/dp'1) - q f(e^beta q) f(e^{-beta} q), from pairs of rows.
+
+    A row A of f is one (dq_A, mu_A, nu_A) with its beta-vector f_A, and
+    m_A, n_A count the parts 1 of mu_A, nu_A.  Each unordered pair of rows
+    has its product f_A f_B formed once.  It adds (m_B - m_A)(n_B - n_A)
+    f_A f_B at dq_A + dq_B with the last part, a 1, of each merged pattern
+    removed, and, below dq_A + dq_B = d_max, -2 cosh(c beta) f_A f_B at
+    dq_A + dq_B + 1 with the merged patterns, c = dq_B - dq_A, halved when
+    A = B.  Products are summed per c, the pair terms (sign turned) with
+    c = 0, and each sum is convolved with cosh(c beta) once: over B! with
+    B = b_max its weights are the integers c^j (B!/j!) for even j, so the
+    residual sits over den^2 B!.  z and s are refused.
+    """
+    if f.z_max or f.s_max:
+        raise ValueError("the Toda residual takes no z or s symbols")
+    d_max, b_max, top = f.d_max, f.b_max, factorial(f.b_max)
+    # the rows of each (dq, mu), in increasing dq so that c >= 0
+    groups = sorted(((dq, mu, mu.count(1), [(nu, nu.count(1), bv) for nu, _, _, bv in rows])
+                     for dq, by_mu in _grouped(f._nums).items() for mu, rows in by_mu),
+                    key=lambda group: group[0])
+    sums = [defaultdict(lambda: [0] * (b_max + 1)) for _ in range(d_max + 1)]
+    merged: dict = {}
+    for i, (da, mu1, m1, rows1) in enumerate(groups):
+        for g, (db, mu2, m2, rows2) in enumerate(groups[i:]):
+            dq = da + db
+            if dq > d_max:
+                break
+            top_degree, square = dq == d_max, sums[db - da]
+            if top_degree and m1 == m2:
+                continue
+            mu = merged.get((mu1, mu2))
+            if mu is None:
+                mu = merged[(mu1, mu2)] = tuple(sorted(mu1 + mu2, reverse=True))
+            # within one group the pairs start at the diagonal
+            for r, (nu1, n1, bv1) in enumerate(rows1):
+                for nu2, n2, bv2 in rows2 if g else rows2[r:]:
+                    weight = (m2 - m1) * (n2 - n1)
+                    if top_degree and not weight:
+                        continue
+                    nu = merged.get((nu1, nu2))
+                    if nu is None:
+                        nu = merged[(nu1, nu2)] = tuple(sorted(nu1 + nu2, reverse=True))
+                    vec = _convolved(bv1, bv2, b_max)
+                    if weight:
+                        target = sums[0][(dq, mu[:-1], nu[:-1], 0, 0)]
+                        for b, x in enumerate(vec):
+                            if x:
+                                target[b] -= weight * x
+                    if not top_degree:
+                        k = 1 if bv1 is bv2 else 2
+                        target = square[(dq + 1, mu, nu, 0, 0)]
+                        for b, x in enumerate(vec):
+                            if x:
+                                target[b] += k * x
+    out: dict = defaultdict(lambda: [0] * (b_max + 1))
+    for c, acc in enumerate(sums):
+        weights = [c ** j * (top // factorial(j)) for j in range(0, b_max + 1 if c else 1, 2)]
+        # reach[b] pairs each beta-degree a term at beta^b reaches with its weight
+        reach = [list(zip(range(b, b_max + 1, 2), weights)) for b in range(b_max + 1)]
+        for gkey, vec in acc.items():
+            target = out[gkey]
+            for b, x in enumerate(vec):
+                if x:
+                    for j, w in reach[b]:
+                        target[j] -= x * w
+    return f._same_caps(dict(_flat(out)), f._den * f._den * top)
+
+
+def _convolved(bv1: list, bv2: list, b_max: int) -> list[int]:
+    """The product of two sparse beta-vectors, as a dense one through b_max."""
+    vec = [0] * (b_max + 1)
+    for b1, x in bv1:
+        lim = b_max - b1
+        for b2, y in bv2:
+            if b2 > lim:
+                break
+            vec[b1 + b2] += x * y
+    return vec
 
 
 def _flat(acc: dict) -> Iterator[tuple[Key, int]]:

@@ -12,8 +12,8 @@ are chosen so that every retained residual coefficient is exact:
   factors scaled by n and m equals the product scaled by n - m and 0,
   scaled by m afterwards;
 * multiplying by e^{c beta} likewise feeds upward only;
-* tau(e^beta q) tau(e^{-beta} q) is tau's balanced square, built from its
-  own beta-sparse q-degree blocks, so no factor is ever dense in beta;
+* both sides of the lowest equation are sums over pairs of tau's rows, and
+  each pair's product of tau's own beta-sparse vectors is formed once;
 * a product that is multiplied by q^j afterwards loses its top j degrees,
   so it is formed with its factors capped at d_max - j and lifted back;
 * shifts raise z only, so a product of shifted factors is formed with z up
@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import factorial
 
 from .hurwitz import build_tau, corrupted, format_rational, simple_hurwitz
-from .series import Key, ShiftTerm, TruncatedSeries, key_to_json_obj, make_key
+from .series import Key, ShiftTerm, TruncatedSeries, _toda_pairs, key_to_json_obj, make_key
 
 
 @dataclass
@@ -93,35 +93,13 @@ def _charge_exponent(k: int) -> Fraction:
     return Fraction(k * (4 * k * k - 1), 24)
 
 
-def _lattice(tau: TruncatedSeries, n: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """T_n and the bilinear residual of the lattice equation at site n.
-
-    With T_k = e^{k(4k^2-1) beta/24} tau(e^{k beta} q), the residual is
-
-        T_n d2 T_n / dp1 dp'1 - (d T_n/dp1)(d T_n/dp'1) - q T_{n+1} T_{n-1}.
-
-    No division by tau is ever performed; the check stays in the ring.
-    T_{n+1} T_{n-1} is tau's balanced square, which multiplies tau's own
-    beta-sparse q-degree blocks, mapped by q -> e^{n beta} q and times both
-    prefactors.  It is formed at cap d_max - 1, since the factor q drops
-    its top degree.  At n = 0 every map is the identity and T_0 is tau.
-    """
-    t_n = tau.scale_q_exp(n).mul_exp_beta(_charge_exponent(n))
-    square = tau.with_caps(d_max=tau.d_max - 1).balanced_square()
-    neighbours = square.scale_q_exp(n).mul_exp_beta(_charge_exponent(n + 1)
-                                                     + _charge_exponent(n - 1))
-    d1 = t_n.d_dp(1)
-    return t_n, (t_n * d1.d_dp(1, prime=True) - d1 * t_n.d_dp(1, prime=True)
-                 - neighbours.with_caps(d_max=tau.d_max).mul_q_power(1))
-
-
 def toda_residual(tau: TruncatedSeries) -> TruncatedSeries:
-    """Bilinear residual of the lowest lattice equation, the one at site 0:
+    """Residual of the lowest lattice equation, the one at site 0, in one
+    pass over the pairs of tau's rows (z and s are refused):
 
-    tau * d2 tau / dp1 dp'1 - (d tau/dp1)(d tau/dp'1)
-        - q * tau(q -> e^beta q) * tau(q -> e^{-beta} q)
+    tau * d2 tau / dp1 dp'1 - (d tau/dp1)(d tau/dp'1) - q tau(e^beta q) tau(e^{-beta} q)
     """
-    return _lattice(tau, 0)[1]
+    return _toda_pairs(tau)
 
 
 def verify_toda(d_max: int, b_max: int, *,
@@ -140,16 +118,19 @@ def verify_tau_n(n: int, d_max: int, b_max: int, *,
 
     T_n is the charge-n tau function without its q^{n^2/2} prefactor, a
     formal marker outside the ring.  Those prefactors cancel exactly in the
-    lattice equation at site n, whose residual must vanish.  The residual
-    adds the round trip T_n -> tau under the map with -n, which must be the
-    identity.
+    lattice equation at site n.  The beta exponents c_k = k(4k^2-1)/24 have
+    c_{n+1} + c_{n-1} = 2 c_n + n, and q -> e^{n beta} q is a ring map that
+    commutes with d/dp1 and d/dp'1, so the residual at site n is the one at
+    site 0 under that map, times e^{2 c_n beta}.  The residual adds the
+    round trip T_n -> tau under the map with -n, which must be the identity.
     """
     if abs(n) > 3:
         raise ValueError("charge shift restricted to |n| <= 3")
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     tau = corrupted(build_tau(d_max, b_max), corruption)
-    t_n, lattice = _lattice(tau, n)
+    t_n = tau.scale_q_exp(n).mul_exp_beta(_charge_exponent(n))
+    lattice = toda_residual(tau).scale_q_exp(n).mul_exp_beta(2 * _charge_exponent(n))
     residual = t_n.scale_q_exp(-n).mul_exp_beta(_charge_exponent(-n)) - tau + lattice
     return _report(
         "tau-n",

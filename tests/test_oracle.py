@@ -384,7 +384,7 @@ class TestStateWalk:
             for t in all_transpositions(d):
                 i, j = (k for k in range(d) if t[k] != k)
                 want[_orbit_cycles(compose(p, t), merged_labels(labels, i, j))] += 1
-            assert oracle._steps(_orbit_cycles(p, labels)) == want, (p, labels)
+            assert dict(oracle._steps(_orbit_cycles(p, labels))) == want, (p, labels)
         assert seen_orbit_counts == {1, 2, 3}
 
     @pytest.mark.parametrize("d", range(1, 9))
@@ -395,9 +395,33 @@ class TestStateWalk:
         types = all_types(d)
         assert len(types) == [1, 3, 6, 14, 27, 58, 111, 223][d - 1]
         for orbits in types:
-            steps = oracle._steps(orbits)
+            steps = dict(oracle._steps(orbits))
             assert sum(steps.values()) == d * (d - 1) // 2, orbits
             assert set(steps) <= types, orbits
+
+    def test_steps_run_once_per_type(self, monkeypatch):
+        # cold walks for every mu of d <= 7: the types stepped from repeat
+        # across the walks, but each is stepped once
+        steps, asked = oracle._steps, []
+
+        def recording(orbits):
+            asked.append(orbits)
+            return steps(orbits)
+
+        monkeypatch.setattr(oracle, "_steps", recording)
+        oracle._sweep.cache_clear()
+        steps.cache_clear()
+        for d in range(1, 8):
+            for mu in partitions_of(d):
+                oracle._sweep(d, mu.parts, 4)
+        oracle._sweep.cache_clear()
+        assert len(asked) > len(set(asked))
+        assert steps.cache_info().misses == len(set(asked))
+
+    def test_steps_value_is_immutable(self):
+        steps = oracle._steps(((1,), (2,)))
+        assert isinstance(steps, tuple)
+        assert steps is oracle._steps(((1,), (2,)))
 
     def test_orbit_cycles(self):
         # orbits {0, 1, 2} and {3, 4, 5}; p has cycles (0 1), (2), (3 4 5)

@@ -12,7 +12,7 @@ from hurwitz_toda.series import (
     ZERO_KEY,
     make_key,
 )
-from hurwitz_toda.verify import verify_hirota
+from hurwitz_toda.verify import toda_residual, verify_hirota
 
 F = Fraction
 
@@ -384,20 +384,39 @@ def square_reference(x):
     return x.scale_q_exp(1) * x.scale_q_exp(-1)
 
 
+def square_term(x):
+    """-q x(e^beta q) x(e^{-beta} q), with the square formed whole below the top degree."""
+    if not x.d_max:
+        return TruncatedSeries(0, x.b_max)
+    square = square_reference(x.with_caps(d_max=x.d_max - 1))
+    return -square.with_caps(d_max=x.d_max).mul_q_power(1)
+
+
+def without_part_one(x, family):
+    """x with every key whose pattern ``family`` (2 for mu, 3 for nu) has a part 1 dropped."""
+    return x.filtered(lambda key: 1 not in key[family])
+
+
 class TestBalancedSquare:
-    """f.balanced_square() is f(e^beta q) * f(e^{-beta} q)."""
+    """toda_residual's square term is -q times the balanced square
+    f(e^beta q) f(e^{-beta} q).  Where mu (or nu) has no part 1, every pair
+    weight (m_B - m_A)(n_B - n_A) vanishes and the square term is all."""
 
     @pytest.mark.parametrize("d_max, b_max", [(0, 3), (1, 0), (1, 3), (2, 5), (4, 4), (6, 5)])
     def test_tau(self, d_max, b_max):
         tau = build_tau(d_max, b_max)
-        assert tau.balanced_square() == square_reference(tau)
+        for family in (2, 3):
+            x = without_part_one(tau, family)
+            assert toda_residual(x) == square_term(x)
+        if d_max > 1:
+            assert not square_term(without_part_one(tau, 2)).is_zero()
 
     def test_corrupted_tau(self):
-        tau = build_tau(5, 5)
+        tau = without_part_one(build_tau(5, 5), 2)
         key = make_key(dq=2, b=1, mu=(2,), nu=(1, 1))
         bad = tau.with_coefficient(key, tau.coefficient(key) + 1)
-        assert bad.balanced_square() == square_reference(bad)
-        assert bad.balanced_square() != tau.balanced_square()
+        assert toda_residual(bad) == square_term(bad)
+        assert toda_residual(bad) != toda_residual(tau)
 
     def test_random(self):
         # both beta parities in one (mu, nu) row, mu != nu, rational coefficients
@@ -405,39 +424,55 @@ class TestBalancedSquare:
         for _ in range(30):
             x = random_series(rng, d_max=rng.randint(0, 5), b_max=rng.randint(0, 6),
                               n_terms=10, constant=rng.choice([None, 0, F(-3, 2)]))
-            assert x.balanced_square() == square_reference(x)
+            x = without_part_one(x, rng.choice([2, 3]))
+            assert toda_residual(x) == square_term(x)
 
     def test_random_with_aux_symbols(self):
+        # the residual is taken of tau and its restrictions only: z and s are refused
         rng = random.Random(4343)
-        for _ in range(30):
+        for _ in range(10):
             x = random_aux_series(rng, d_max=4, b_max=rng.randint(0, 5), n_terms=12,
                                   z_max=rng.randint(0, 3))
-            assert x.balanced_square() == square_reference(x)
+            with pytest.raises(ValueError, match="no z or s"):
+                toda_residual(x)
+        for aux in ({"z_max": 1}, {"s_max": 1}):
+            with pytest.raises(ValueError, match="no z or s"):
+                toda_residual(TruncatedSeries.one(3, 3, **aux))
 
     def test_single_pair(self):
-        # q p1 p'1 + q^2 p2 p'2: squares at c = 0, the cross pair weighted 2 cosh(beta)
-        x = series(3, 4, [(make_key(dq=1, mu=(1,), nu=(1,)), F(1)),
+        # q p1 p'1 + q^2 p2 p'2: the first row's own square weighted 1, the
+        # cross pair's square 2 cosh(beta), and its pair weight (0 - 1)(0 - 1)
+        x = series(4, 4, [(make_key(dq=1, mu=(1,), nu=(1,)), F(1)),
                           (make_key(dq=2, mu=(2,), nu=(2,)), F(1))])
-        got = x.balanced_square()
-        assert got.coefficient(make_key(dq=2, mu=(1, 1), nu=(1, 1))) == 1
+        got = toda_residual(x)
+        assert got.coefficient(make_key(dq=3, mu=(1, 1), nu=(1, 1))) == -1
+        assert got.coefficient(make_key(dq=3, mu=(2,), nu=(2,))) == 1
         for b in range(5):
-            want = F(2, factorial(b)) if b % 2 == 0 else 0
-            assert got.coefficient(make_key(dq=3, b=b, mu=(2, 1), nu=(2, 1))) == want
-        assert len(got) == 4
+            want = F(-2, factorial(b)) if b % 2 == 0 else 0
+            assert got.coefficient(make_key(dq=4, b=b, mu=(2, 1), nu=(2, 1))) == want
+        assert len(got) == 5
 
     def test_multiplies_only_half_the_block_pairs(self, monkeypatch):
+        # each unordered pair of rows is convolved once, and only when it
+        # feeds a term: a square below the top degree or a nonzero pair weight
         import hurwitz_toda.series as series_module
-        kernel = series_module._mul_groups
-        pairs = []
+        kernel = series_module._convolved
+        convolved = []
 
-        def recorded(acc, a, b, *rest):
-            pairs.extend((da, db) for da in a for db in b)
-            return kernel(acc, a, b, *rest)
+        def recorded(bv1, bv2, b_max):
+            convolved.append(frozenset((id(bv1), id(bv2))))
+            return kernel(bv1, bv2, b_max)
 
-        monkeypatch.setattr(series_module, "_mul_groups", recorded)
-        tau = build_tau(6, 3)
-        tau.balanced_square()
-        assert sorted(pairs) == [(a, b) for a in range(7) for b in range(a, 7 - a)]
+        monkeypatch.setattr(series_module, "_convolved", recorded)
+        d_max = 6
+        tau = build_tau(d_max, 3)
+        toda_residual(tau)
+        rows = sorted({key[0:1] + key[2:4] for key in tau.keys()})
+        feeds = [(a, b) for i, a in enumerate(rows) for b in rows[i:]
+                 if a[0] + b[0] < d_max
+                 or a[0] + b[0] == d_max and (a[1].count(1) - b[1].count(1))
+                 * (a[2].count(1) - b[2].count(1))]
+        assert len(convolved) == len(set(convolved)) == len(feeds)
 
 
 class TestShifts:

@@ -5,6 +5,7 @@ import pytest
 
 import hurwitz_toda.verify as verify_module
 from hurwitz_toda.hurwitz import build_tau
+from hurwitz_toda.partitions import enumerate_partitions
 from hurwitz_toda.series import ShiftTerm, TruncatedSeries, make_key
 from hurwitz_toda.verify import (
     toda_residual,
@@ -77,8 +78,35 @@ def corrupted(tau, key):
     return tau.with_coefficient(key, tau.coefficient(key) + 1)
 
 
+def random_rows(rng, d_max, b_max, n_rows):
+    """A random series whose mu and nu carry 0-3 parts 1 each, with rational
+    coefficients, both beta parities in most rows and sometimes a constant."""
+    def pattern(room):
+        ones = rng.randint(0, min(3, room))
+        rest = [p.parts for m in range(room - ones + 1) for p in enumerate_partitions(m)
+                if 1 not in p.parts]
+        return rng.choice(rest) + (1,) * ones
+
+    coeffs = {}
+    for _ in range(n_rows):
+        dq = rng.randint(0, d_max)
+        mu, nu, b = pattern(dq), pattern(dq), rng.randint(0, b_max)
+        for bb in range(b, min(b + rng.randint(1, 2), b_max + 1)):
+            coeffs[make_key(dq=dq, b=bb, mu=mu, nu=nu)] = F(rng.randint(-5, 5), rng.randint(1, 6))
+    if rng.random() < 0.5:
+        coeffs[make_key()] = F(rng.randint(-3, 3), rng.randint(1, 3))
+    return TruncatedSeries(d_max, b_max, coeffs=coeffs)
+
+
 class TestAgainstWholeProducts:
     """The residuals equal those with the scaled products formed whole."""
+
+    @pytest.mark.parametrize("d_max", range(6))
+    def test_toda_random_series(self, d_max):
+        rng = random.Random(600 + d_max)
+        for _ in range(12):
+            x = random_rows(rng, d_max, rng.randint(0, 5), rng.randint(1, 12))
+            assert toda_residual(x) == reference_toda_residual(x)
 
     def test_toda_every_key_at_four(self):
         tau = build_tau(4, 4)
