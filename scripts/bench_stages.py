@@ -8,11 +8,12 @@ as recorded in the BENCH_*.json files.
 Imports ``hurwitz_toda`` from DIR (default: ``src/`` of this checkout), so
 the same script times any other checkout whose ``verify`` has
 ``_factor_shifts``, whose ``oracle._sweep`` walks types with a memoized
-``_steps`` and answers every b at once, and whose ``hurwitz`` has the per-degree
-``_Shapes`` table and an integer ``_class_sum``; an older checkout is timed
-by its own copy of the script.  Each stage reports the least of REPEATS
-runs, timed with ``time.perf_counter`` in this one process; a cold stage
-starts cold on every run.  For each order (d_max, b_max) it times:
+``_steps`` and answers every b at once, and whose ``hurwitz`` has
+``_Shapes(d, cache)``, the character table of degree d, and an integer
+``_class_sum`` over it; an older checkout is timed by its own copy of the
+script.  Each stage reports the least of REPEATS runs, timed with
+``time.perf_counter`` in this one process; a cold stage starts cold on
+every run.  For each order (d_max, b_max) it times:
 
     build_tau     tau assembly from a cold character cache
     log           tau.log()
@@ -41,8 +42,9 @@ build series:
                    untimed pass); ``_steps`` is memoized, so a cold sweep
                    clears its cache too
     class_algebra  the class-algebra numerator of every (d, b, mu, nu) as
-                   ``compare`` evaluates it, from one shape table per d, with
-                   the character cache warmed by one untimed pass
+                   ``compare`` evaluates it, from one table per d built on
+                   each run, as fresh cells build it, with the character
+                   cache warmed by one untimed pass
 
 and exits nonzero unless every class-algebra numerator, over L^k d!^2 for
 k = b + 2 classes and L the lcm of the dims, equals the sweep's disconnected

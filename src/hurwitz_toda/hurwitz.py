@@ -70,32 +70,34 @@ def format_rational(x: Fraction) -> object:
 
 
 class _Shapes:
-    """The shapes of degree d, their dims, the lcm L of the nonzero dims (not
-    d!: a seeded cache may hold any dim), and |C| chi_C by shape per class C,
-    read from the cache the first time C is asked for."""
+    """The character table of degree d that the cells keep: the shapes, their
+    dims, the lcm L of the nonzero dims (not d!: a seeded cache may hold any
+    dim), f2 by shape, |C| by class, and per class C once asked, chi_C by shape."""
 
-    def __init__(self, d: int, cache: CharacterCache | None):
-        self.d, self.cache = d, cache or DEFAULT_CACHE
+    def __init__(self, d: int, cache: CharacterCache):
+        self.d, self.cache = d, cache
         self.shapes = list(partitions_of(d))
-        self.dims = [self.cache.dimension(lam) for lam in self.shapes]
+        self.dims = [cache.dimension(lam) for lam in self.shapes]
         self.common = lcm(*filter(None, self.dims))
+        self.f2 = [f2_contents(lam) for lam in self.shapes]
+        self.sizes = {mu: class_size(mu) for mu in self.shapes}
         self._rows: dict = {}
 
     def row(self, c: Partition) -> list[int]:
         if c not in self._rows:
-            size = class_size(c)
-            self._rows[c] = [size * self.cache.character(lam, c) for lam in self.shapes]
+            self._rows[c] = [self.cache.character(lam, c) for lam in self.shapes]
         return self._rows[c]
 
 
 def _class_sum(table: _Shapes, classes: list[Partition]) -> int:
     """The numerator of cov_burnside of ``classes``, all of size table.d, over
-    L^k d!^2: each shape's dim^2 prod |C| chi_C / dim^k brought to L^k, summed."""
-    k = len(classes)
+    L^k d!^2: prod |C| times each shape's dim^2 prod chi_C / dim^k at L^k, summed."""
+    k, sizes = len(classes), 1
     terms = [dim * dim * (table.common // dim) ** k if dim else 0 for dim in table.dims]
     for c, m in Counter(classes).items():
         terms = [x * y ** m for x, y in zip(terms, table.row(c))]
-    return sum(terms)
+        sizes *= table.sizes[c] ** m
+    return sizes * sum(terms)
 
 
 def cov_burnside(d: int, classes: list[Partition], *,
@@ -111,7 +113,9 @@ def cov_burnside(d: int, classes: list[Partition], *,
     for c in classes:
         if c.size != d:
             raise ValueError(f"class {c} does not have size {d}")
-    table = _Shapes(d, cache)
+    store = _store(cache)
+    with store.lock:
+        table = store.table(d)
     return Fraction(_class_sum(table, classes), table.common ** len(classes) * factorial(d) ** 2)
 
 
@@ -163,7 +167,8 @@ class _Cells:
 
     where * multiplies the p and p' monomials.  So a cell needs only the
     cells below it, and growing the box to the union of the requests so far
-    computes each cell once, whatever their order.
+    computes each cell once, whatever their order.  They keep the character
+    table of each degree, which ``cov_burnside`` and ``compare_all`` read too.
     """
 
     def __init__(self, cc: CharacterCache):
@@ -185,20 +190,21 @@ class _Cells:
             return
         self.tau_box = max(d_max, d0), max(b_max, b0)
         for d in range(1, self.tau_box[0] + 1):
-            classes, chi, f2, zs = self._table(d)
-            dfact = factorial(d)
+            table, dfact = self.table(d), factorial(d)
+            chi = [table.row(mu) for mu in table.shapes]
+            sizes = list(table.sizes.values())
             for b in range(b0 + 1 if d <= d0 else 0, self.tau_box[1] + 1):
                 # integer sums of chi(mu) chi(nu) f2^b over shapes, for mu <= nu
                 cell = self.tau[(d, b)] = {}
-                powers = [f ** b for f in f2]
+                powers = [f ** b for f in table.f2]
                 for j, cj in enumerate(chi):
                     wj = list(map(mul, cj, powers))
                     for i in range(j + 1):
                         x = sum(map(mul, chi[i], wj))
                         if x:
-                            mu, nu = classes[i], classes[j]
+                            mu, nu = table.shapes[i].parts, table.shapes[j].parts
                             cell[(d, b, mu, nu, 0, 0)] = cell[(d, b, nu, mu, 0, 0)] = (
-                                x * dfact // (zs[i] * zs[j]))
+                                x * sizes[i] * sizes[j] // dfact)
 
     def grow_log(self, d_max: int, b_max: int) -> None:
         d0, b0 = self.log_box
@@ -219,18 +225,15 @@ class _Cells:
                 for key, x in cell.items()}
         return TruncatedSeries(d_max, b_max)._same_caps(nums, dfact * bfact)
 
-    def _table(self, d: int) -> tuple:
-        """Classes of degree d, chi(shape, class) by class, f2 by shape, z by class."""
+    def table(self, d: int) -> _Shapes:
+        """The character table of degree d, built once for these cells."""
         if d not in self._tables:
-            shapes = list(partitions_of(d))
-            self._tables[d] = ([mu.parts for mu in shapes],
-                               [[self.cc.character(lam, mu) for lam in shapes] for mu in shapes],
-                               [f2_contents(lam) for lam in shapes], [z_mu(mu) for mu in shapes])
+            self._tables[d] = _Shapes(d, self.cc)
         return self._tables[d]
 
     def _conn_cell(self, d: int, b: int) -> None:
         acc: dict = {}
-        caps = TruncatedSeries(d, b)._caps()
+        caps = (d, b, 0, 0)
         for k in range(1, d):
             for c in range(b + 1):
                 rest = self._tau_groups.get((d - k, b - c))

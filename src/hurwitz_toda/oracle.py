@@ -32,7 +32,7 @@ from math import factorial
 
 from .characters import DEFAULT_CACHE, CharacterCache
 # build_tau is not called here; perfbench/tracer.py's tests read oracle.build_tau
-from .hurwitz import _Cells, _Shapes, _class_sum, _store, build_tau
+from .hurwitz import _Cells, _class_sum, _store, build_tau
 from .partitions import Partition, class_size, partitions_of, transposition_class
 from .series import make_key
 
@@ -153,8 +153,8 @@ def compare_all(d_max_oracle: int, b_max_oracle: int, *,
     Integers only, with Fractions (each side over d!) just in the records
     returned, one per disagreement; empty list means full agreement.
     ``corruption``, a count compare reads, bumps its tau coefficient by +1 in
-    fresh cells (negative control).  One walk per (d, mu) and one shape table
-    per d serve every b; the walks run on at most ``jobs`` worker processes.
+    fresh cells (negative control).  One walk per (d, mu) and the cells' own
+    table per d serve every b; the walks run on at most ``jobs`` processes.
     """
     _check_box(d_max_oracle, b_max_oracle, d_cap, b_cap)
     if corruption is None:
@@ -170,8 +170,7 @@ def compare_all(d_max_oracle: int, b_max_oracle: int, *,
         cell[corruption] = cell.get(corruption, 0) + factorial(dq) * factorial(b)
     with cells.lock:  # a grown cell never changes, so it is read outside the lock
         cells.grow_log(d_max_oracle, b_max_oracle)
-
-    tables = [_Shapes(d, cache) for d in range(1, d_max_oracle + 1)]
+        tables = [cells.table(d) for d in range(1, d_max_oracle + 1)]
     profiles = [(table, mu) for table in tables for mu in table.shapes]
     tasks = [(table.d, mu.parts, b_max_oracle) for table, mu in profiles]
     jobs = min(jobs, os.cpu_count() or 1)

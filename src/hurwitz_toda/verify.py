@@ -88,11 +88,6 @@ def _report(identity: str, orders: dict, residual: TruncatedSeries,
     )
 
 
-def _charge_exponent(k: int) -> Fraction:
-    """beta exponent k(4k^2 - 1)/24 of the charge-k prefactor."""
-    return Fraction(k * (4 * k * k - 1), 24)
-
-
 def toda_residual(tau: TruncatedSeries) -> TruncatedSeries:
     """Residual of the lowest lattice equation, the one at site 0, in one
     pass over the pairs of tau's rows (z and s are refused):
@@ -121,22 +116,23 @@ def verify_tau_n(n: int, d_max: int, b_max: int, *,
     lattice equation at site n.  The beta exponents c_k = k(4k^2-1)/24 have
     c_{n+1} + c_{n-1} = 2 c_n + n, and q -> e^{n beta} q is a ring map that
     commutes with d/dp1 and d/dp'1, so the residual at site n is the one at
-    site 0 under that map, times e^{2 c_n beta}.  The residual adds the
-    round trip T_n -> tau under the map with -n, which must be the identity.
+    site 0 under that map, times e^{2 c_n beta}.  The residual adds the round
+    trip T_n -> tau under the map with -n, which must be the identity and is
+    the one term that reads the map.  Each map is one pass, three in all.
     """
     if abs(n) > 3:
         raise ValueError("charge shift restricted to |n| <= 3")
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     tau = corrupted(build_tau(d_max, b_max), corruption)
-    t_n = tau.scale_q_exp(n).mul_exp_beta(_charge_exponent(n))
-    lattice = toda_residual(tau).scale_q_exp(n).mul_exp_beta(2 * _charge_exponent(n))
-    residual = t_n.scale_q_exp(-n).mul_exp_beta(_charge_exponent(-n)) - tau + lattice
+    c = Fraction(n * (4 * n * n - 1), 24)
+    residual = (tau._times_exp_beta(n, c)._times_exp_beta(-n, -c) - tau
+                + toda_residual(tau)._times_exp_beta(n, 2 * c))
     return _report(
         "tau-n",
         {"n": n, "d_max": d_max, "b_max": b_max},
         residual,
-        notes={"prefactor_beta_exponent": _charge_exponent(n)},
+        notes={"prefactor_beta_exponent": c},
     )
 
 

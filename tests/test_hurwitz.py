@@ -31,10 +31,12 @@ F = Fraction
 
 def burnside_reference(d, classes, cache=None):
     """cov_burnside one Fraction at a time: (dim/d!)^2 times one central
-    character per list entry, for every shape."""
+    character per list entry, for every shape whose dim is not zero."""
     cache = cache or DEFAULT_CACHE
     total = F(0)
     for lam in partitions_of(d):
+        if not cache.dimension(lam):
+            continue  # a seeded dim of 0 drops its shape, as dim^2 does
         term = F(cache.dimension(lam), factorial(d)) ** 2
         for c in classes:
             term *= central_character(c, lam, cache=cache)
@@ -110,23 +112,47 @@ def table_count(table, classes):
 
 
 class TestShapeTable:
-    """The class-algebra counts as compare_all reads them, one table per d."""
+    """The class-algebra counts as compare_all reads them, from the table of
+    each d that the cells keep."""
 
     def test_numerator_is_an_integer(self):
-        table = hurwitz._Shapes(4, None)
+        table = hurwitz._store(None).table(4)
         assert type(hurwitz._class_sum(table, [P((2, 2)), P((3, 1))])) is int
 
     @pytest.mark.parametrize("name", ["default", "seeded", "zero_dim"])
     def test_table_path_equals_cov_with_transpositions(self, name):
         cache = table_caches()[name]
+        cells = hurwitz._store(cache)
         for d in range(1, 7):
-            table = hurwitz._Shapes(d, cache)
+            table = cells.table(d)
             swaps = [transposition_class(d)] if d > 1 else []
             for b in range(6 if swaps else 1):  # no transpositions below degree two
                 for mu in partitions_of(d):
                     for nu in partitions_of(d):
-                        assert table_count(table, [mu, nu] + swaps * b) == \
-                            cov_with_transpositions(d, mu, nu, b, cache=cache), (d, b, mu, nu)
+                        classes = [mu, nu] + swaps * b
+                        assert table_count(table, classes) == \
+                            cov_with_transpositions(d, mu, nu, b, cache=cache) == \
+                            burnside_reference(d, classes, cache), (d, b, mu, nu)
+
+    def test_default_cache_builds_one_table(self, monkeypatch):
+        # cov_burnside reads the table the shared cells keep; a custom cache
+        # gets fresh cells, and so a fresh table, on every call
+        built = []
+
+        class Recording(hurwitz._Shapes):
+            def __init__(self, d, cache):
+                built.append(d)
+                super().__init__(d, cache)
+
+        monkeypatch.setattr(hurwitz, "_Shapes", Recording)
+        monkeypatch.setattr(hurwitz, "_STORE", hurwitz._Cells(DEFAULT_CACHE))
+        calls = [[P((3, 2)), P((3, 2))], [P((5,)), P((4, 1)), P((2, 1, 1, 1))]]
+        shared = [cov_burnside(5, classes) for classes in calls]
+        assert built == [5]
+        cache = CharacterCache()
+        assert [cov_burnside(5, classes, cache=cache) for classes in calls] == shared
+        assert built == [5, 5, 5]
+        assert shared == [burnside_reference(5, classes) for classes in calls] == [F(1, 6), F(1)]
 
     @pytest.mark.parametrize("name", ["seeded", "zero_dim"])
     def test_poisoned_cache_reaches_the_table(self, name):
@@ -134,7 +160,7 @@ class TestShapeTable:
         cache = table_caches()[name]
         moved = [(d, mu, nu, b) for d in range(3, 5) for b in range(3)
                  for mu in partitions_of(d) for nu in partitions_of(d)
-                 if table_count(hurwitz._Shapes(d, cache),
+                 if table_count(hurwitz._store(cache).table(d),
                                 [mu, nu] + [transposition_class(d)] * b)
                  != cov_with_transpositions(d, mu, nu, b)]
         assert moved

@@ -14,7 +14,7 @@ import pytest
 import hurwitz_toda
 from hurwitz_toda import hurwitz, oracle
 from hurwitz_toda.characters import DEFAULT_CACHE, CharacterCache
-from hurwitz_toda.hurwitz import build_tau, connected_series, hurwitz_table
+from hurwitz_toda.hurwitz import build_tau, connected_series, cov_record, hurwitz_table
 from hurwitz_toda.oracle import OracleLimitError, compare_all, count_table, count_tuples
 from hurwitz_toda.partitions import Partition, class_size, partitions_of
 from hurwitz_toda.series import TruncatedSeries, make_key
@@ -507,8 +507,9 @@ class TestCompareAll:
         assert len(calls) == 11
 
     def test_one_shape_table_per_degree(self, monkeypatch):
-        # the class-algebra side reads each degree's shapes once: one table
-        # per d, one dim per shape, and no other listing of the shapes
+        # the tau cells, cov and compare read one table per d, kept with the
+        # cells of their cache: one build per d, one dim per shape, and no
+        # other listing of the shapes
         built, dims = [], Counter()
 
         class Counting(CharacterCache):
@@ -516,14 +517,21 @@ class TestCompareAll:
                 dims[lam.parts] += 1
                 return super().dimension(lam)
 
-        class Recording(oracle._Shapes):
+        class Recording(hurwitz._Shapes):
             def __init__(self, d, cache):
                 built.append(d)
                 super().__init__(d, cache)
 
-        monkeypatch.setattr(oracle, "_Shapes", Recording)
+        monkeypatch.setattr(hurwitz, "_Shapes", Recording)
+        monkeypatch.setattr(hurwitz, "_STORE", hurwitz._Cells(Counting()))
         listed = record_listings(monkeypatch)
-        assert compare_all(4, 3, cache=Counting()) == []
+        build_tau(3, 2)
+        assert built == [1, 2, 3]
+        mu, nu = P((2, 2)), P((3, 1))
+        assert cov_record(4, 2, mu, nu).value == count_tuples(4, mu, nu, 2, False)
+        assert built == [1, 2, 3, 4]
+        assert compare_all(4, 3) == []
+        build_tau(4, 3)
         assert built == [1, 2, 3, 4]
         assert dims == Counter(lam.parts for d in range(1, 5) for lam in partitions_of(d))
         assert listed == []
