@@ -6,9 +6,9 @@ as recorded in the BENCH_*.json files.
                                     [--oracle 6,4 6,5]
 
 Imports ``hurwitz_toda`` from DIR (default: ``src/`` of this checkout), so
-the same script times any other checkout whose ``verify`` has
-``_factor_shifts``, whose ``oracle._sweep`` walks types with a memoized
-``_steps`` and answers every b at once, and whose ``hurwitz`` has
+the same script times any other checkout whose ``hurwitz`` has ``_Cells``
+with ``grow_tau`` and ``grow_log``, whose ``oracle._sweep`` walks types with
+a memoized ``_steps`` and answers every b at once, and whose ``hurwitz`` has
 ``_Shapes(d, cache)``, the character table of degree d, and an integer
 ``_class_sum`` over it; an older checkout is timed by its own copy of the
 script.  Each stage reports the least of REPEATS runs, timed with
@@ -17,18 +17,28 @@ every run.  For each order (d_max, b_max) it times:
 
     build_tau     tau assembly from a cold character cache
     log           tau.log()
+    grow_log      the log cells' growth to (d_max, b_max) in fresh cells,
+                  their tau cells grown untimed beforehand
     scale_q_exp   tau.scale_q_exp(2), as Hirota's m = 0 left factor uses it
     toda_residual the lowest equation's residual, one pass over the pairs
                   of tau's rows
     tau_n         verify_tau_n at n = 1 and n = -1, tau read from the
                   default cells grown by one untimed build
-    hirota_shift  the four shift_p calls of verify_hirota(0, 1), on their
+    hirota_shift  the shift_p calls of verify_hirota(0, 1), on their
                   lifted, q-scaled inputs (the left two at cap d_max - 1)
-    extract_z     the z-extractions of verify_hirota(0, 1), prefactor
-                  included, from the products of the shifted factors
+    hirota_mul    the products of the shifted factors, made as
+                  verify_hirota(0, 1) makes them, keywords included
+    extract_z     the z-extractions of verify_hirota(0, 1) from those
+                  products
+    hirota        verify_hirota whole at (m, n_s, side) = (0, 1, pprime),
+                  (1, 3, p) and (-1, 3, pprime), tau read from the default
+                  cells, each case with its own time and residual terms
 
-with the term count of each result, and exits nonzero unless the Toda
-and both tau-n residuals vanish.
+The three Hirota part stages replay, argument for argument, the calls that
+one untimed verify_hirota(0, 1) run makes, so on any checkout they time
+that checkout's own factors and products.  Each stage reports the term
+count of its results, and the script exits nonzero unless the Toda, both
+tau-n and the three Hirota residuals vanish.
 For each oracle order it times the two stages of ``compare`` that do not
 build series:
 
@@ -64,6 +74,7 @@ import time
 from math import comb, factorial
 
 REPEATS = 3
+HIROTA_CASES = [(0, 1, "pprime"), (1, 3, "p"), (-1, 3, "pprime")]
 
 
 def best(fn) -> tuple:
@@ -88,6 +99,15 @@ def stages(ht, d_max: int, b_max: int) -> dict:
     (tau,) = timed("build_tau",
                    lambda: [ht.build_tau(d_max, b_max, cache=ht.CharacterCache())])
     timed("log", lambda: [tau.log()])
+    # the cells' log from cold: fresh cells, their tau cells grown untimed
+    times, cache = [], ht.CharacterCache()
+    for _ in range(REPEATS):
+        cells = ht.hurwitz._Cells(cache)
+        cells.grow_tau(d_max, b_max)
+        t0 = time.perf_counter()
+        cells.grow_log(d_max, b_max)
+        times.append(time.perf_counter() - t0)
+    out["grow_log"] = {"s": round(min(times), 4), "terms": len(cells.h)}
     timed("scale_q_exp", lambda: [tau.scale_q_exp(2)])
     (residual,) = timed("toda_residual", lambda: [ht.verify.toda_residual(tau)])
     if not residual.is_zero():
@@ -98,21 +118,47 @@ def stages(ht, d_max: int, b_max: int) -> dict:
     if not all(r.is_zero() for r in residuals):
         raise SystemExit(f"tau-n residual nonzero at ({d_max}, {b_max})")
 
-    # verify_hirota's four factors at m = 0, n_s = 1, side pprime: (q cap,
-    # top z power read, q-scaling, sign of s, sign of the z-vector, z-vector
-    # on the primed family), with their shifts from verify's own builder
-    low = d_max - 1
-    factors = [(low, 0, 2, 1, 1, True), (low, 0, 0, -1, -1, True),
-               (d_max, 1, 0, 1, -1, False), (d_max, 1, 0, -1, 1, False)]
-    inputs = [(tau.with_caps(d_max=cap, z_max=z_max, s_max=1).scale_q_exp(scale),
-               ht.verify._factor_shifts(1, True, s_sign, zv, zv_prime, cap))
-              for cap, z_max, scale, s_sign, zv, zv_prime in factors]
-    a, b, c, d = timed("hirota_shift", lambda: [x.shift_p(sh) for x, sh in inputs])
-    lhs, rhs = (a * b).scale_q_exp(-1).with_caps(d_max=d_max), c * d
-    # the prefactor 1 - 2 s z^-1 on the left: [z^-1] lhs is empty, so it reads s [z^0]
-    timed("extract_z", lambda: [lhs.extract_z(-1) + lhs.extract_z(0).mul_aux_monomial(-2, ds=1),
-                                rhs.extract_z(1)])
+    # the shifts, products and z-extractions verify_hirota(0, 1) makes, as it
+    # makes them, recorded in one untimed run and replayed
+    calls = recorded(ht, lambda: ht.verify_hirota(0, 1, d_max, b_max))
+    for name, method in (("hirota_shift", "shift_p"), ("hirota_mul", "__mul__"),
+                         ("extract_z", "extract_z")):
+        timed(name, lambda: [fn(*args, **kwargs) for fn, args, kwargs in calls[method]])
+    cases = {}
+    for m, n_s, side in HIROTA_CASES:
+        s, report = best(lambda: ht.verify_hirota(m, n_s, d_max, b_max, side=side))
+        if not report.passed:
+            raise SystemExit(f"hirota {(m, n_s, side)} residual nonzero at ({d_max}, {b_max})")
+        cases[f"{m},{n_s},{side}"] = {"s": s, "terms": len(report.residual)}
+    out["hirota"] = cases
     return out
+
+
+def recorded(ht, run) -> dict[str, list]:
+    """The series operations ``run`` calls, as (method, args, kwargs) per name.
+
+    Only products of two series are kept; products by scalars are not
+    Hirota's.
+    """
+    cls = ht.series.TruncatedSeries
+    calls = {name: [] for name in ("shift_p", "__mul__", "extract_z")}
+    originals = {name: vars(cls)[name] for name in calls}
+
+    def recorder(name, method):
+        def call(*args, **kwargs):
+            if name != "__mul__" or isinstance(args[1], cls):
+                calls[name].append((method, args, kwargs))
+            return method(*args, **kwargs)
+        return call
+
+    for name, method in originals.items():
+        setattr(cls, name, recorder(name, method))
+    try:
+        run()
+    finally:
+        for name, method in originals.items():
+            setattr(cls, name, method)
+    return calls
 
 
 def oracle_stages(ht, d_max: int, b_max: int) -> dict:

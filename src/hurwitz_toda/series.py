@@ -157,13 +157,16 @@ class TruncatedSeries:
 
     def with_caps(self, d_max: int | None = None, b_max: int | None = None,
                   z_max: int | None = None, s_max: int | None = None) -> "TruncatedSeries":
-        """Same terms under new caps; terms outside the new caps are dropped."""
+        """Same terms under new caps; terms outside them are dropped (raised caps share storage)."""
         out = TruncatedSeries(
             self.d_max if d_max is None else d_max,
             self.b_max if b_max is None else b_max,
             z_max=self.z_max if z_max is None else z_max,
             s_max=self.s_max if s_max is None else s_max,
         )
+        if all(new >= old for new, old in zip(out._caps(), self._caps())):
+            out._nums, out._den = self._nums, self._den
+            return out
         return out._same_caps({k: x for k, x in self._nums.items() if out._fits(k)}, self._den)
 
     # -- inspection ----------------------------------------------------------
@@ -238,7 +241,12 @@ class TruncatedSeries:
     def __rsub__(self, other) -> "TruncatedSeries":
         return (-self) + other
 
-    def __mul__(self, other) -> "TruncatedSeries":
+    def __mul__(self, other, *, wanted: dict[int, int] | None = None) -> "TruncatedSeries":
+        """The truncated product.  With a series operand, ``wanted`` maps each z
+        power to the highest s degree kept at it; the product then holds only
+        those (z, s) powers, and the block pairs that would land elsewhere are
+        never multiplied.  Its default keeps the whole window.
+        """
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             return self._same_caps({k: x * c.numerator for k, x in self._nums.items()},
@@ -248,7 +256,8 @@ class TruncatedSeries:
         self._check_compatible(other)
         acc: dict = {}
         if self._nums and other._nums:
-            _mul_groups(acc, _grouped(self._nums), _grouped(other._nums), self._caps(), {})
+            _mul_groups(acc, _grouped(self._nums), _grouped(other._nums), self._caps(), {},
+                        wanted)
         return self._same_caps(dict(_flat(acc)), self._den * other._den)
 
     __rmul__ = __mul__
@@ -393,18 +402,20 @@ class TruncatedSeries:
         mu and then nu: a part is kept or replaced by one of its shift
         terms, and equal partial images add their integer factors, which
         forms the multinomial counts.  Shifts raise z and s only, so a branch
-        is dropped as soon as it leaves the room below z_max and s_max.
+        is dropped as soon as it leaves the room below z_max and s_max, and a
+        shift term that leaves it on its own is dropped up front: with none
+        left, the series is returned as it is.
         """
+        z_max, s_max = self.z_max, self.s_max
         smap: dict[tuple[bool, int], tuple[tuple[int, int, int], ...]] = {}
         for k, prime, terms in shifts:
-            terms = tuple(terms)
             if (bool(prime), int(k)) in smap:
                 raise ValueError(f"duplicate shift for variable ({k}, prime={prime})")
-            smap[(bool(prime), int(k))] = tuple((t.z_power, t.s_degree, t.coeff) for t in terms)
-        if not smap:
+            smap[(bool(prime), int(k))] = tuple((t.z_power, t.s_degree, t.coeff) for t in terms
+                                                if t.z_power <= z_max and t.s_degree <= s_max)
+        if not any(smap.values()):
             return self
 
-        z_max, s_max = self.z_max, self.s_max
         images: dict[tuple, list] = {}
         acc: dict[Key, int] = {}
         for key, x in self._nums.items():
@@ -467,11 +478,12 @@ class TruncatedSeries:
 
 # -- integer kernels -----------------------------------------------------------
 #
-# A grouped operand maps q-degree to a list of (mu, rows), each row being
-# (nu, z, s, beta-vector) with the beta-vector a list of (b, numerator) pairs
-# in increasing b.
+# A grouped operand is a list of blocks ((dq, z, s), groups), each group being
+# (mu, rows) and each row (nu, beta-vector), with the beta-vector a list of
+# (b, numerator) pairs in increasing b.  A series free of z and s has one
+# block per q-degree.
 
-Groups = dict[int, list[tuple[tuple, list]]]
+Groups = list[tuple[tuple, list]]
 
 
 def _reduced(nums: dict[Key, int], den: int) -> tuple[dict[Key, int], int]:
@@ -497,53 +509,48 @@ def _joined(pieces: list[tuple[dict[Key, int], int]]) -> tuple[dict[Key, int], i
 def _grouped(nums: dict[Key, int]) -> Groups:
     tree: dict = {}
     for (dq, b, mu, nu, z, s), x in nums.items():
-        tree.setdefault(dq, {}).setdefault(mu, {}).setdefault((nu, z, s), []).append((b, x))
-    return {
-        dq: [(mu, [(nu, z, s, sorted(bv)) for (nu, z, s), bv in rows.items()])
-             for mu, rows in by_mu.items()]
-        for dq, by_mu in tree.items()
-    }
+        tree.setdefault((dq, z, s), {}).setdefault(mu, {}).setdefault(nu, []).append((b, x))
+    return [(block, [(mu, [(nu, sorted(bv)) for nu, bv in rows.items()])
+                     for mu, rows in by_mu.items()])
+            for block, by_mu in tree.items()]
 
 
 def _scaled(groups: Groups, factor: int) -> Groups:
     if factor == 1:
         return groups
-    return {
-        dq: [(mu, [(nu, z, s, [(b, x * factor) for b, x in bv]) for nu, z, s, bv in rows])
-             for mu, rows in by_mu]
-        for dq, by_mu in groups.items()
-    }
+    return [(block, [(mu, [(nu, [(b, x * factor) for b, x in bv]) for nu, bv in rows])
+                     for mu, rows in by_mu])
+            for block, by_mu in groups]
 
 
-def _mul_groups(acc: dict, a: Groups, b: Groups, caps: tuple, merged: dict) -> None:
+def _mul_groups(acc: dict, a: Groups, b: Groups, caps: tuple, merged: dict,
+                wanted: dict[int, int] | None = None) -> None:
     """Accumulate the truncated product of two grouped operands into acc.
 
-    ``caps`` is (d_max, b_max, z_max, s_max).  ``acc`` maps
-    (dq, mu, nu, z, s) to a dense integer beta-vector.  Pattern merges are
-    memoized in ``merged`` per pattern pair, so each is sorted once however
-    many beta terms the two groups carry.  Weights need no check: they are
-    at most the q-degree, which is capped.
+    ``caps`` is (d_max, b_max, z_max, s_max).  ``wanted`` maps a z power to
+    the highest s degree kept at it, the whole window by default; a pair of
+    blocks landing anywhere else, or past d_max, is skipped whole.  ``acc``
+    maps (dq, mu, nu, z, s) to a dense integer beta-vector.  Pattern merges
+    are memoized in ``merged`` per pattern pair, so each is sorted once
+    however many beta terms the two groups carry.  Weights need no check:
+    they are at most the q-degree, which is capped.
     """
-    d_max, b_max, z_hi, s_hi = caps
+    d_max, b_max, z_max, s_max = caps
+    if wanted is None:
+        wanted = dict.fromkeys(range(z_max + 1), s_max)
     width = b_max + 1
-    for da, by_mu_a in a.items():
-        for db, by_mu_b in b.items():
-            dq = da + db
-            if dq > d_max:
+    for (da, z1, s1), by_mu_a in a:
+        for (db, z2, s2), by_mu_b in b:
+            dq, z, s = da + db, z1 + z2, s1 + s2
+            if dq > d_max or s > wanted.get(z, -1):
                 continue
             for mu1, rows1 in by_mu_a:
                 for mu2, rows2 in by_mu_b:
                     mu = merged.get((mu1, mu2))
                     if mu is None:
                         mu = merged[(mu1, mu2)] = tuple(sorted(mu1 + mu2, reverse=True))
-                    for nu1, z1, s1, bv1 in rows1:
-                        for nu2, z2, s2, bv2 in rows2:
-                            z = z1 + z2
-                            if z > z_hi:
-                                continue
-                            s = s1 + s2
-                            if s > s_hi:
-                                continue
+                    for nu1, bv1 in rows1:
+                        for nu2, bv2 in rows2:
                             nu = merged.get((nu1, nu2))
                             if nu is None:
                                 nu = merged[(nu1, nu2)] = tuple(sorted(nu1 + nu2, reverse=True))
@@ -577,8 +584,8 @@ def _toda_pairs(f: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("the Toda residual takes no z or s symbols")
     d_max, b_max, top = f.d_max, f.b_max, factorial(f.b_max)
     # the rows of each (dq, mu), in increasing dq so that c >= 0
-    groups = sorted(((dq, mu, mu.count(1), [(nu, nu.count(1), bv) for nu, _, _, bv in rows])
-                     for dq, by_mu in _grouped(f._nums).items() for mu, rows in by_mu),
+    groups = sorted(((dq, mu, mu.count(1), [(nu, nu.count(1), bv) for nu, bv in rows])
+                     for (dq, _, _), by_mu in _grouped(f._nums) for mu, rows in by_mu),
                     key=lambda group: group[0])
     sums = [defaultdict(lambda: [0] * (b_max + 1)) for _ in range(d_max + 1)]
     merged: dict = {}

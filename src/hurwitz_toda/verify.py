@@ -16,9 +16,10 @@ are chosen so that every retained residual coefficient is exact:
   each pair's product of tau's own beta-sparse vectors is formed once;
 * a product that is multiplied by q^j afterwards loses its top j degrees,
   so it is formed with its factors capped at d_max - j and lifted back;
-* shifts raise z only, so a product of shifted factors is formed with z up
-  to the highest power read from it, and one whose every read power is
-  negative is zero and never formed.
+* shifts raise z and s only, so a product of shifted factors is formed at
+  the (z, s) powers read from it alone, from factors cut at the highest z
+  power and s degree read; one whose every read power is negative is zero
+  and never formed.
 
 Hence every verifier checks the full (d_max, b_max) window it was given.
 A Hirota check on a corrupted series whose residual is zero is refused, as
@@ -197,17 +198,23 @@ def verify_hirota(m: int, n_s: int, d_max: int, b_max: int, *,
 
         F = tau(e^{scale beta} q) shifted by +s and zv_sign * zv, G = tau
         shifted by -s and -zv_sign * zv, both capped at q-degree ``cap``.
-        The prefactor's s z^{-n_s} reads [z^{t + n_s}] F G, factors carry
-        only z^{>=0}, and q -> e^{common beta} q is a ring map that keeps
-        q-degrees, so it is applied to the product once.
+        The prefactor's s z^{-n_s} reads s^0 [z^{t + n_s}] F G, and the bare
+        term s^0 and s^1 of [z^t] F G, so F G is formed at those (z, s)
+        powers only: factors carry only z^{>=0}, and a term of a factor past
+        the highest z power or s degree read feeds none of them.
+        q -> e^{common beta} q is a ring map that keeps q-degrees, so it is
+        applied to the product once.
         """
         top = t + n_s if c else t
         if top < 0:
             return TruncatedSeries(d_max, b_max, s_max=1)
-        lifted = tau.with_caps(d_max=cap, z_max=top, s_max=1)
+        wanted = {t: 1} if t >= 0 else {}
+        if c:
+            wanted[top] = 0
+        lifted = tau.with_caps(d_max=cap, z_max=top, s_max=max(wanted.values()))
         f, g = (x.shift_p(_factor_shifts(n_s, primed, sign, sign * zv_sign, zv_prime, cap))
                 for x, sign in ((lifted.scale_q_exp(scale), 1), (lifted, -1)))
-        product = (f * g).scale_q_exp(common)
+        product = f.__mul__(g, wanted=wanted).with_caps(s_max=1).scale_q_exp(common)
         out = product.extract_z(t)
         if c:
             out = out + product.extract_z(top).mul_aux_monomial(c, ds=1)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, gcd
 
 import pytest
@@ -246,6 +247,22 @@ class TestKernelReference:
         assert (a * zero).is_zero() and (zero * a).is_zero()
         assert zero.exp() == TruncatedSeries.one(3, 3, z_max=2, s_max=1)
         assert (zero + 1).log().is_zero()
+
+    def test_product_at_wanted_powers(self):
+        # every map from the window's z powers to an s limit, absent meaning
+        # no s at all, the empty map included, and a z past the window: the
+        # product holds the naive one's keys at those (z, s) powers alone
+        rng = random.Random(606)
+        limits = [{4: 1}, {0: 1, 4: 0}]
+        for choice in product((None, 0, 1), repeat=4):
+            limits.append({z: lim for z, lim in enumerate(choice) if lim is not None})
+        for _ in range(4):
+            a, b = (random_aux_series(rng, n_terms=10, z_max=3) for _ in range(2))
+            whole = naive_product(a, b)
+            assert a.__mul__(b, wanted=None) == a * b == whole
+            for wanted in limits:
+                want = whole.filtered(lambda key: key[5] <= wanted.get(key[4], -1))
+                assert a.__mul__(b, wanted=wanted) == want, wanted
 
     def test_exp_and_log_random(self):
         rng = random.Random(2718)
@@ -504,6 +521,22 @@ class TestShifts:
         assert shifted.coefficient(make_key(dq=2, mu=(1,), s=1)) == 2
         assert all(key[5] <= 1 for key, _ in shifted.terms())
 
+    def test_terms_past_the_windows_dropped(self):
+        # z^2 and s cannot fit at z_max = 1, s_max = 0: nothing is shifted
+        x = build_tau(3, 2).with_caps(z_max=1)
+        shifts = [(1, False, [ShiftTerm(3, z_power=2), ShiftTerm(-1, s_degree=1)]),
+                  (2, True, [ShiftTerm(1, z_power=1, s_degree=1)])]
+        assert x.shift_p(shifts) is x
+        # with fitting terms among them, the result is the one at wider
+        # windows cut back
+        rng = random.Random(77)
+        for _ in range(30):
+            x = random_aux_series(rng, d_max=4, b_max=2, n_terms=10, z_max=rng.randint(0, 2),
+                                  s_max=rng.randint(0, 1))
+            shifts = random_shifts(rng, 4)
+            wide = x.with_caps(z_max=4, s_max=1).shift_p(shifts)
+            assert x.shift_p(shifts) == wide.with_caps(z_max=x.z_max, s_max=x.s_max)
+
     def test_unsupported_order_rejected(self):
         s = TruncatedSeries.one(1, 1)
         with pytest.raises(ValueError, match="unsupported shift order"):
@@ -695,6 +728,19 @@ class TestAuxOps:
         t = s.with_coefficient(make_key(dq=1, mu=(1,), nu=(1,)), F(9))
         assert t.coefficient(make_key(dq=1, mu=(1,), nu=(1,))) == 9
         assert s.coefficient(make_key(dq=1, mu=(1,), nu=(1,))) == 0
+
+    def test_with_caps(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            x = random_aux_series(rng, d_max=4, b_max=3, n_terms=12, z_max=2)
+            caps = [rng.randint(0, 5), rng.randint(0, 4), rng.randint(0, 3), rng.randint(0, 1)]
+            got = x.with_caps(*caps)
+            want = TruncatedSeries(*caps[:2], z_max=caps[2], s_max=caps[3],
+                                   coeffs={k: v for k, v in x.terms() if in_window(got, k)})
+            assert got == want
+            # raising caps keeps every term, without copying them
+            raised = x.with_caps(d_max=5, z_max=3)
+            assert raised.terms() == x.terms() and raised._nums is x._nums
 
 
 class TestInspection:

@@ -336,6 +336,34 @@ class TestHirotaReference:
             assert report.residual == residual and report.notes == notes
             assert report.passed == (key is None)
 
+    @pytest.mark.parametrize("m, n_s, side", HIROTA_CASES)
+    def test_products_hold_only_the_powers_read(self, monkeypatch, m, n_s, side):
+        # each side reads s^0 and s^1 of z^t, and s^0 of z^{t + n_s} where
+        # its family carries the prefactor; only z^{>=0} exists, and a side
+        # reading none of it forms no product
+        primed = side == "pprime"
+        reads = []
+        for t, prefactor in ((-1 - m, primed), (m + 1, not primed)):
+            read = {(t, 0), (t, 1)} | ({(t + n_s, 0)} if prefactor else set())
+            if any(z >= 0 for z, _ in read):
+                reads.append(read)
+        products = []
+        mul = TruncatedSeries.__mul__
+
+        def recorded(x, other, **kwargs):
+            result = mul(x, other, **kwargs)
+            if isinstance(other, TruncatedSeries):
+                products.append(result)
+            return result
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", recorded)
+        assert verify_hirota(m, n_s, 6, 6, side=side).passed
+        assert len(products) == len(reads)
+        for result, read in zip(products, reads):
+            assert {key[4:] for key in result.keys()} <= read
+        # at (1, 1, pprime) the one side formed is zero at every power read
+        assert all(products) or (m, n_s, side) == (1, 1, "pprime")
+
 
 class TestSpecialized:
     def test_passes(self):
