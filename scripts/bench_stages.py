@@ -17,6 +17,10 @@ every run.  For each order (d_max, b_max) it times:
 
     build_tau     tau assembly from a cold character cache
     log           tau.log()
+    grow_tau      the tau cells' character sums to (d_max, b_max) in fresh
+                  cells, on a character cache warmed untimed beforehand, so
+                  the character recursion is left out; its terms are the
+                  cell entries
     grow_log      the log cells' growth to (d_max, b_max) in fresh cells,
                   their tau cells grown untimed beforehand
     scale_q_exp   tau.scale_q_exp(2), as Hirota's m = 0 left factor uses it
@@ -34,11 +38,15 @@ every run.  For each order (d_max, b_max) it times:
                   (1, 3, p) and (-1, 3, pprime), tau read from the default
                   cells, each case with its own time and residual terms
 
-The three Hirota part stages replay, argument for argument, the calls that
-one untimed verify_hirota(0, 1) run makes, so on any checkout they time
-that checkout's own factors and products.  Each stage reports the term
-count of its results, and the script exits nonzero unless the Toda, both
-tau-n and the three Hirota residuals vanish.
+The four Hirota stages run only at orders with d_max <= HIROTA_DMAX: at
+(12, 12) they take 87 of the 108 s the whole order takes, and raise its
+peak from 0.13 to 0.5 GB (CPython 3.11, 2 vCPUs), so at (14, 14) they would
+not fit a small machine.  The three Hirota part stages replay, argument for
+argument, the calls that one untimed verify_hirota(0, 1) run makes, so on
+any checkout they time that checkout's own factors and products.  Each
+stage reports the term count of its results, and the script exits nonzero
+unless the Toda, both tau-n and (where run) the three Hirota residuals
+vanish.
 For each oracle order it times the two stages of ``compare`` that do not
 build series:
 
@@ -75,6 +83,7 @@ from math import comb, factorial
 
 REPEATS = 3
 HIROTA_CASES = [(0, 1, "pprime"), (1, 3, "p"), (-1, 3, "pprime")]
+HIROTA_DMAX = 12
 
 
 def best(fn) -> tuple:
@@ -99,15 +108,21 @@ def stages(ht, d_max: int, b_max: int) -> dict:
     (tau,) = timed("build_tau",
                    lambda: [ht.build_tau(d_max, b_max, cache=ht.CharacterCache())])
     timed("log", lambda: [tau.log()])
-    # the cells' log from cold: fresh cells, their tau cells grown untimed
-    times, cache = [], ht.CharacterCache()
-    for _ in range(REPEATS):
-        cells = ht.hurwitz._Cells(cache)
-        cells.grow_tau(d_max, b_max)
-        t0 = time.perf_counter()
-        cells.grow_log(d_max, b_max)
-        times.append(time.perf_counter() - t0)
-    out["grow_log"] = {"s": round(min(times), 4), "terms": len(cells.h)}
+    # the cells' sums from fresh cells on a character cache warmed untimed:
+    # the tau cells alone, then the log cells with their tau cells grown untimed
+    cache = ht.CharacterCache()
+    ht.hurwitz._Cells(cache).grow_tau(d_max, b_max)
+    for name in ("grow_tau", "grow_log"):
+        times = []
+        for _ in range(REPEATS):
+            cells = ht.hurwitz._Cells(cache)
+            if name == "grow_log":
+                cells.grow_tau(d_max, b_max)
+            t0 = time.perf_counter()
+            getattr(cells, name)(d_max, b_max)
+            times.append(time.perf_counter() - t0)
+        terms = len(cells.h) if name == "grow_log" else sum(map(len, cells.tau.values()))
+        out[name] = {"s": round(min(times), 4), "terms": terms}
     timed("scale_q_exp", lambda: [tau.scale_q_exp(2)])
     (residual,) = timed("toda_residual", lambda: [ht.verify.toda_residual(tau)])
     if not residual.is_zero():
@@ -117,6 +132,8 @@ def stages(ht, d_max: int, b_max: int) -> dict:
                                         for n in (1, -1)])
     if not all(r.is_zero() for r in residuals):
         raise SystemExit(f"tau-n residual nonzero at ({d_max}, {b_max})")
+    if d_max > HIROTA_DMAX:
+        return out
 
     # the shifts, products and z-extractions verify_hirota(0, 1) makes, as it
     # makes them, recorded in one untimed run and replayed

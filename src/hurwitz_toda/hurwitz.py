@@ -191,15 +191,26 @@ class _Cells:
         self.tau_box = max(d_max, d0), max(b_max, b0)
         for d in range(1, self.tau_box[0] + 1):
             table, dfact = self.table(d), factorial(d)
-            chi = [table.row(mu) for mu in table.shapes]
+            # chi_{lam'}(mu) = sgn(mu) chi_lam(mu) and f2(lam') = -f2(lam): a
+            # shape and its conjugate add twice the shape's term or cancel, and
+            # a self-conjugate shape has f2 = 0.  One shape of each pair is read.
+            reps = [(k, 1 if lam.parts == conj.parts else 2) for k, lam in enumerate(table.shapes)
+                    for conj in [lam.conjugate()] if lam.parts >= conj.parts]
+            chi = [[row[k] for k, _ in reps] for row in map(table.row, table.shapes)]
             sizes = list(table.sizes.values())
+            # shapes by the parity of their length, in table order
+            by_parity = [[i for i, mu in enumerate(table.shapes) if mu.length % 2 == p]
+                         for p in (0, 1)]
             for b in range(b0 + 1 if d <= d0 else 0, self.tau_box[1] + 1):
                 # integer sums of chi(mu) chi(nu) f2^b over shapes, for mu <= nu
+                # with b = len(mu) + len(nu) mod 2; every other cell is zero
                 cell = self.tau[(d, b)] = {}
-                powers = [f ** b for f in table.f2]
+                powers = [w * table.f2[k] ** b for k, w in reps]
                 for j, cj in enumerate(chi):
                     wj = list(map(mul, cj, powers))
-                    for i in range(j + 1):
+                    for i in by_parity[(b + table.shapes[j].length) % 2]:
+                        if i > j:
+                            break
                         x = sum(map(mul, chi[i], wj))
                         if x:
                             mu, nu = table.shapes[i].parts, table.shapes[j].parts

@@ -571,80 +571,92 @@ def _toda_pairs(f: TruncatedSeries) -> TruncatedSeries:
 
     A row A of f is one (dq_A, mu_A, nu_A) with its beta-vector f_A, and
     m_A, n_A count the parts 1 of mu_A, nu_A.  Each unordered pair of rows
-    has its product f_A f_B formed once.  It adds (m_B - m_A)(n_B - n_A)
-    f_A f_B at dq_A + dq_B with the last part, a 1, of each merged pattern
-    removed, and, below dq_A + dq_B = d_max, -2 cosh(c beta) f_A f_B at
-    dq_A + dq_B + 1 with the merged patterns, c = dq_B - dq_A, halved when
-    A = B.  Products are summed per c, the pair terms (sign turned) with
-    c = 0, and each sum is convolved with cosh(c beta) once: over B! with
-    B = b_max its weights are the integers c^j (B!/j!) for even j, so the
-    residual sits over den^2 B!.  z and s are refused.
+    has its product f_A f_B added once, by ``_pair_product``, into two
+    targets: (m_B - m_A)(n_B - n_A) f_A f_B at dq_A + dq_B with the last
+    part, a 1, of each merged pattern removed, and, below dq_A + dq_B =
+    d_max, -2 cosh(c beta) f_A f_B at dq_A + dq_B + 1 with the merged
+    patterns, c = dq_B - dq_A, halved when A = B.  Patterns carry small
+    integer ids, each pair of ids is merged once, and the targets are
+    summed per c, the pair terms (sign turned) with c = 0, in maps from
+    (dq, mu) to nu.  Each sum is convolved with cosh(c beta) once: over B!
+    with B = b_max its weights are the integers c^j (B!/j!) for even j, so
+    the residual sits over den^2 B!.  z and s are refused.
     """
     if f.z_max or f.s_max:
         raise ValueError("the Toda residual takes no z or s symbols")
     d_max, b_max, top = f.d_max, f.b_max, factorial(f.b_max)
+    # patterns[i] has id i; merges[i][j] holds the ids of the merge of
+    # patterns i and j and of that merge without its last part
+    ids: dict = {}
+    patterns: list = []
+    merges: dict = defaultdict(dict)
+
+    def pid(pattern: tuple) -> int:
+        if pattern not in ids:
+            ids[pattern] = len(patterns)
+            patterns.append(pattern)
+        return ids[pattern]
+
+    def merge(i: int, j: int) -> tuple[int, int]:
+        pattern = tuple(sorted(patterns[i] + patterns[j], reverse=True))
+        merges[i][j] = pid(pattern), pid(pattern[:-1])
+        return merges[i][j]
+
     # the rows of each (dq, mu), in increasing dq so that c >= 0
-    groups = sorted(((dq, mu, mu.count(1), [(nu, nu.count(1), bv) for nu, bv in rows])
+    groups = sorted(((dq, pid(mu), mu.count(1), [(pid(nu), nu.count(1), bv) for nu, bv in rows])
                      for (dq, _, _), by_mu in _grouped(f._nums) for mu, rows in by_mu),
                     key=lambda group: group[0])
-    sums = [defaultdict(lambda: [0] * (b_max + 1)) for _ in range(d_max + 1)]
-    merged: dict = {}
+    sums = [defaultdict(lambda: defaultdict(lambda: [0] * (b_max + 1))) for _ in range(d_max + 1)]
     for i, (da, mu1, m1, rows1) in enumerate(groups):
         for g, (db, mu2, m2, rows2) in enumerate(groups[i:]):
             dq = da + db
             if dq > d_max:
                 break
-            top_degree, square = dq == d_max, sums[db - da]
+            top_degree = dq == d_max
             if top_degree and m1 == m2:
                 continue
-            mu = merged.get((mu1, mu2))
-            if mu is None:
-                mu = merged[(mu1, mu2)] = tuple(sorted(mu1 + mu2, reverse=True))
+            mu, mu_less = merges[mu1].get(mu2) or merge(mu1, mu2)
+            square = None if top_degree else sums[db - da][(dq + 1, mu)]
+            paired = sums[0][(dq, mu_less)] if m1 != m2 else None
             # within one group the pairs start at the diagonal
             for r, (nu1, n1, bv1) in enumerate(rows1):
+                nu_merges = merges[nu1]
                 for nu2, n2, bv2 in rows2 if g else rows2[r:]:
                     weight = (m2 - m1) * (n2 - n1)
                     if top_degree and not weight:
                         continue
-                    nu = merged.get((nu1, nu2))
-                    if nu is None:
-                        nu = merged[(nu1, nu2)] = tuple(sorted(nu1 + nu2, reverse=True))
-                    vec = _convolved(bv1, bv2, b_max)
-                    if weight:
-                        target = sums[0][(dq, mu[:-1], nu[:-1], 0, 0)]
-                        for b, x in enumerate(vec):
-                            if x:
-                                target[b] -= weight * x
-                    if not top_degree:
-                        k = 1 if bv1 is bv2 else 2
-                        target = square[(dq + 1, mu, nu, 0, 0)]
-                        for b, x in enumerate(vec):
-                            if x:
-                                target[b] += k * x
+                    nu, nu_less = nu_merges.get(nu2) or merge(nu1, nu2)
+                    _pair_product(bv1, bv2, b_max, None if top_degree else square[nu],
+                                  1 if bv1 is bv2 else 2, paired[nu_less] if weight else None,
+                                  weight)
     out: dict = defaultdict(lambda: [0] * (b_max + 1))
     for c, acc in enumerate(sums):
         weights = [c ** j * (top // factorial(j)) for j in range(0, b_max + 1 if c else 1, 2)]
         # reach[b] pairs each beta-degree a term at beta^b reaches with its weight
         reach = [list(zip(range(b, b_max + 1, 2), weights)) for b in range(b_max + 1)]
-        for gkey, vec in acc.items():
-            target = out[gkey]
-            for b, x in enumerate(vec):
-                if x:
-                    for j, w in reach[b]:
-                        target[j] -= x * w
+        for (dq, mu), targets in acc.items():
+            for nu, vec in targets.items():
+                target = out[(dq, patterns[mu], patterns[nu], 0, 0)]
+                for b, x in enumerate(vec):
+                    if x:
+                        for j, w in reach[b]:
+                            target[j] -= x * w
     return f._same_caps(dict(_flat(out)), f._den * f._den * top)
 
 
-def _convolved(bv1: list, bv2: list, b_max: int) -> list[int]:
-    """The product of two sparse beta-vectors, as a dense one through b_max."""
-    vec = [0] * (b_max + 1)
-    for b1, x in bv1:
-        lim = b_max - b1
-        for b2, y in bv2:
-            if b2 > lim:
-                break
-            vec[b1 + b2] += x * y
-    return vec
+def _pair_product(bv1: list, bv2: list, b_max: int, square: list | None, k: int,
+                  paired: list | None, weight: int) -> None:
+    """Add k f_A f_B into ``square`` and -weight f_A f_B into ``paired``, for
+    two sparse beta-vectors f_A, f_B, through b_max; a None target is skipped."""
+    for vec, factor in ((square, k), (paired, -weight)):
+        if vec is not None:
+            for b1, x in bv1:
+                x *= factor
+                lim = b_max - b1
+                for b2, y in bv2:
+                    if b2 > lim:
+                        break
+                    vec[b1 + b2] += x * y
 
 
 def _flat(acc: dict) -> Iterator[tuple[Key, int]]:

@@ -3,6 +3,7 @@ import sys
 import threading
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 import pytest
 
@@ -21,7 +22,7 @@ from hurwitz_toda.hurwitz import (
     schur_in_power_sums,
     simple_hurwitz,
 )
-from hurwitz_toda.oracle import count_tuples
+from hurwitz_toda.oracle import compare_all, count_tuples
 from hurwitz_toda.partitions import Partition, partitions_of, transposition_class
 from hurwitz_toda.series import make_key
 
@@ -164,6 +165,111 @@ class TestShapeTable:
                                 [mu, nu] + [transposition_class(d)] * b)
                  != cov_with_transpositions(d, mu, nu, b)]
         assert moved
+
+
+class ReferenceCells(hurwitz._Cells):
+    """Cells whose tau sums run over every shape, for every (mu <= nu, b):
+    no conjugate pairs and no parity skip."""
+
+    def grow_tau(self, d_max, b_max):
+        if d_max < 0 or b_max < 0:
+            raise ValueError("truncation orders must be nonnegative")
+        d0, b0 = self.tau_box
+        if d_max <= d0 and b_max <= b0:
+            return
+        self.tau_box = max(d_max, d0), max(b_max, b0)
+        for d in range(1, self.tau_box[0] + 1):
+            table, dfact = self.table(d), factorial(d)
+            chi = [table.row(mu) for mu in table.shapes]
+            sizes = list(table.sizes.values())
+            for b in range(b0 + 1 if d <= d0 else 0, self.tau_box[1] + 1):
+                # integer sums of chi(mu) chi(nu) f2^b over shapes, for mu <= nu
+                cell = self.tau[(d, b)] = {}
+                powers = [f ** b for f in table.f2]
+                for j, cj in enumerate(chi):
+                    wj = list(map(mul, cj, powers))
+                    for i in range(j + 1):
+                        x = sum(map(mul, chi[i], wj))
+                        if x:
+                            mu, nu = table.shapes[i].parts, table.shapes[j].parts
+                            cell[(d, b, mu, nu, 0, 0)] = cell[(d, b, nu, mu, 0, 0)] = (
+                                x * sizes[i] * sizes[j] // dfact)
+
+
+def seeded_partner():
+    """The seeded character of table_caches()["seeded"] moved to the
+    conjugate partner of its shape: (2, 1, 1) in place of (3, 1)."""
+    cache = CharacterCache()
+    cache.seed(P((2, 1, 1)), P((2, 1, 1)), 5)  # really -1
+    return cache
+
+
+class TestConjugatePairs:
+    """The tau cells sum over one shape of each conjugate pair, twice, and
+    over the self-conjugate shapes at b = 0, for b = len(mu) + len(nu) mod 2."""
+
+    def test_every_cell_up_to_twelve(self):
+        cache, reference_cache = CharacterCache(), CharacterCache()
+        cells, reference = hurwitz._Cells(cache), ReferenceCells(reference_cache)
+        cells.grow_tau(12, 12)
+        reference.grow_tau(12, 12)
+        assert cells.tau == reference.tau
+        # every character is still read through the shared table
+        assert cache.stats() == reference_cache.stats()
+
+    def test_growth_order(self):
+        cache = CharacterCache()
+        cells, reference = hurwitz._Cells(cache), ReferenceCells(cache)
+        for box in [(3, 5), (5, 3), (8, 8)]:
+            cells.grow_tau(*box)
+            reference.grow_tau(*box)
+            assert cells.tau == reference.tau and cells.tau_box == reference.tau_box
+        at_once = ReferenceCells(cache)
+        at_once.grow_tau(8, 8)
+        assert cells.tau == at_once.tau
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_cells_read_one_shape_of_each_pair(self, d):
+        # a character raised by d! moves a tau cell exactly when its shape is
+        # read: the first of each conjugate pair in table order, or a
+        # self-conjugate shape; the other of a pair is never read
+        clean = hurwitz._Cells(CharacterCache())
+        clean.grow_tau(d, 4)
+        shapes = list(partitions_of(d))
+        read = {lam for lam in shapes if lam.parts >= lam.conjugate().parts}
+        for lam in shapes:
+            for c in shapes:
+                cache = CharacterCache()
+                cache.seed(lam, c, cache.character(lam, c) + factorial(d))
+                cells = hurwitz._Cells(cache)
+                cells.grow_tau(d, 4)
+                assert (cells.tau != clean.tau) == (lam in read), (lam, c)
+
+    def test_seeded_caches(self):
+        clean = hurwitz._Cells(CharacterCache())
+        clean.grow_tau(5, 5)
+        moved = hurwitz._Cells(table_caches()["seeded"])
+        moved.grow_tau(5, 5)
+        assert moved.tau != clean.tau
+        partner = hurwitz._Cells(seeded_partner())
+        partner.grow_tau(5, 5)
+        assert partner.tau == clean.tau
+
+    @pytest.mark.parametrize("cache, box", [
+        (table_caches()["seeded"], (4, 3)),
+        (seeded_partner(), (4, 3)),
+        (table_caches()["zero_dim"], (3, 2)),
+    ], ids=["seeded", "seeded_partner", "zero_dim"])
+    def test_compare_reports_every_seeded_cache(self, cache, box):
+        # a shape the cells skip is still read by the class-algebra route
+        bad = compare_all(*box, cache=cache)
+        assert any(r["kind"] == "disconnected" and r["formula"] != r["oracle"] for r in bad)
+
+    def test_riemann_hurwitz_parity(self):
+        tau = build_tau(10, 10)
+        for (dq, b, mu, nu, z, s), value in tau.terms():
+            assert (b - len(mu) - len(nu)) % 2 == 0
+            assert tau.coefficient((dq, b, nu, mu, z, s)) == value
 
 
 class TestSchur:

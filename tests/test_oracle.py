@@ -581,6 +581,17 @@ class TestCompareAll:
         assert bad
         assert bad[0]["d"] == 2
 
+    def test_corrupted_character_the_tau_cells_skip_detected(self):
+        # the tau cells read (2) for the pair (2), (1, 1); the class-algebra
+        # route reads every shape
+        cache = CharacterCache()
+        cache.seed(P((1, 1)), P((1, 1)), 3)  # correct value is 1
+        clean = compare_all(2, 1)
+        assert not clean
+        bad = compare_all(2, 1, cache=cache)
+        assert bad and bad[0]["d"] == 2
+        assert all(r["series"] == r["oracle"] != r["formula"] for r in bad)
+
     @pytest.mark.parametrize("key", [
         make_key(dq=1, mu=(1,), nu=(1,)),
         make_key(dq=3, b=2, mu=(3,), nu=(2, 1)),

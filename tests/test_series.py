@@ -470,17 +470,17 @@ class TestBalancedSquare:
         assert len(got) == 5
 
     def test_multiplies_only_half_the_block_pairs(self, monkeypatch):
-        # each unordered pair of rows is convolved once, and only when it
+        # each unordered pair of rows is multiplied once, and only when it
         # feeds a term: a square below the top degree or a nonzero pair weight
         import hurwitz_toda.series as series_module
-        kernel = series_module._convolved
+        kernel = series_module._pair_product
         convolved = []
 
-        def recorded(bv1, bv2, b_max):
+        def recorded(bv1, bv2, *targets):
             convolved.append(frozenset((id(bv1), id(bv2))))
-            return kernel(bv1, bv2, b_max)
+            return kernel(bv1, bv2, *targets)
 
-        monkeypatch.setattr(series_module, "_convolved", recorded)
+        monkeypatch.setattr(series_module, "_pair_product", recorded)
         d_max = 6
         tau = build_tau(d_max, 3)
         toda_residual(tau)

@@ -1,12 +1,14 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 import hurwitz_toda.verify as verify_module
 from hurwitz_toda.hurwitz import build_tau
 from hurwitz_toda.partitions import enumerate_partitions
-from hurwitz_toda.series import ShiftTerm, TruncatedSeries, make_key
+from hurwitz_toda.series import ShiftTerm, TruncatedSeries, _flat, _grouped, make_key
 from hurwitz_toda.verify import (
     toda_residual,
     verify_hirota,
@@ -129,6 +131,79 @@ class TestAgainstWholeProducts:
         for key in random.Random(n).sample(sorted(tau.keys()), 3):
             report = verify_tau_n(n, 5, 5, corruption=key)
             assert report.residual == reference_tau_n_residual(corrupted(tau, key), n)
+
+
+def reference_toda_pairs(f):
+    """toda_residual from pairs of rows with tuple-keyed targets: each pair's
+    product formed as a dense beta-vector, then scanned into both targets."""
+    d_max, b_max, top = f.d_max, f.b_max, factorial(f.b_max)
+    groups = sorted(((dq, mu, mu.count(1), [(nu, nu.count(1), bv) for nu, bv in rows])
+                     for (dq, _, _), by_mu in _grouped(f._nums) for mu, rows in by_mu),
+                    key=lambda group: group[0])
+    sums = [defaultdict(lambda: [0] * (b_max + 1)) for _ in range(d_max + 1)]
+    merged = {}
+    for i, (da, mu1, m1, rows1) in enumerate(groups):
+        for g, (db, mu2, m2, rows2) in enumerate(groups[i:]):
+            dq = da + db
+            if dq > d_max:
+                break
+            top_degree, square = dq == d_max, sums[db - da]
+            if top_degree and m1 == m2:
+                continue
+            mu = merged.get((mu1, mu2))
+            if mu is None:
+                mu = merged[(mu1, mu2)] = tuple(sorted(mu1 + mu2, reverse=True))
+            for r, (nu1, n1, bv1) in enumerate(rows1):
+                for nu2, n2, bv2 in rows2 if g else rows2[r:]:
+                    weight = (m2 - m1) * (n2 - n1)
+                    if top_degree and not weight:
+                        continue
+                    nu = merged.get((nu1, nu2))
+                    if nu is None:
+                        nu = merged[(nu1, nu2)] = tuple(sorted(nu1 + nu2, reverse=True))
+                    vec = [0] * (b_max + 1)
+                    for b1, x in bv1:
+                        for b2, y in bv2:
+                            if b1 + b2 <= b_max:
+                                vec[b1 + b2] += x * y
+                    if weight:
+                        target = sums[0][(dq, mu[:-1], nu[:-1], 0, 0)]
+                        for b, x in enumerate(vec):
+                            target[b] -= weight * x
+                    if not top_degree:
+                        k = 1 if bv1 is bv2 else 2
+                        target = square[(dq + 1, mu, nu, 0, 0)]
+                        for b, x in enumerate(vec):
+                            target[b] += k * x
+    out = defaultdict(lambda: [0] * (b_max + 1))
+    for c, acc in enumerate(sums):
+        weights = [c ** j * (top // factorial(j)) for j in range(0, b_max + 1 if c else 1, 2)]
+        for gkey, vec in acc.items():
+            target = out[gkey]
+            for b, x in enumerate(vec):
+                for j, w in zip(range(b, b_max + 1, 2), weights):
+                    target[j] -= x * w
+    return f._same_caps(dict(_flat(out)), f._den * f._den * top)
+
+
+class TestPairKernelReference:
+    """The pair kernel with integer pattern ids and targets filled in place,
+    against the same sums over tuple-keyed targets and dense pair products."""
+
+    def test_tau_at_ten(self):
+        tau = build_tau(10, 10)
+        assert toda_residual(tau) == reference_toda_pairs(tau)
+        for key in random.Random(1010).sample(sorted(tau.keys()), 3):
+            bad = corrupted(tau, key)
+            assert toda_residual(bad) == reference_toda_pairs(bad)
+
+    @pytest.mark.parametrize("d_max", range(8))
+    def test_random_series(self, d_max):
+        # negative and rational coefficients, both beta parities in one row
+        rng = random.Random(2300 + d_max)
+        for _ in range(12):
+            x = random_rows(rng, d_max, rng.randint(0, 6), rng.randint(1, 20))
+            assert toda_residual(x) == reference_toda_pairs(x)
 
 
 class TestTauN:
