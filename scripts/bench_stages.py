@@ -11,7 +11,19 @@ with ``grow_tau`` and ``grow_log``, whose ``oracle._sweep`` walks types with
 a memoized ``_steps`` and answers every b at once, and whose ``hurwitz`` has
 ``_Shapes(d, cache)``, the character table of degree d, and an integer
 ``_class_sum`` over it; an older checkout is timed by its own copy of the
-script.  Each stage reports the least of REPEATS runs, timed with
+script.  It first times:
+
+    startup       REPEATS spawns of ``python -c "import hurwitz_toda.cli"``
+                  against DIR, spawn to exit, after one untimed spawn that
+                  writes the bytecode caches: the least and the median
+                  seconds, and the largest ru_maxrss (KB on Linux) the
+                  kernel reports for a child at exit.  The children run
+                  without this process's PYTHON* settings, as perfbench's
+                  do.  A spawned child's ru_maxrss starts from its parent's
+                  high-water mark, so they are spawned by a bare
+                  ``python -S`` (about 8 MB), not by this process
+
+Every other stage reports the least of REPEATS runs, timed with
 ``time.perf_counter`` in this one process; a cold stage starts cold on
 every run.  For each order (d_max, b_max) it times:
 
@@ -77,6 +89,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 import time
 from math import comb, factorial
@@ -94,6 +107,30 @@ def best(fn) -> tuple:
         result = fn()
         times.append(time.perf_counter() - t0)
     return round(min(times), 4), result
+
+
+# Prints seconds, exit code and ru_maxrss of each of argv[1] timed spawns.
+SPAWNER = """
+import os, sys, time
+argv = [sys.executable, "-c", "import hurwitz_toda.cli"]
+for _ in range(int(sys.argv[1])):
+    t0 = time.perf_counter()
+    _, status, usage = os.wait4(os.posix_spawn(argv[0], argv, os.environ), 0)
+    print(time.perf_counter() - t0, os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def startup(src: str) -> dict:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = os.path.abspath(src)
+    out = subprocess.run([sys.executable, "-S", "-c", SPAWNER, str(REPEATS + 1)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    warm, *runs = [line.split() for line in out.splitlines()]  # warm wrote the bytecode caches
+    if any(code != "0" for _, code, _ in [warm, *runs]):
+        raise SystemExit(f"import hurwitz_toda.cli failed from {src}")
+    times = sorted(float(s) for s, _, _ in runs)  # REPEATS is odd: the middle is the median
+    return {"least_s": round(times[0], 4), "median_s": round(times[len(times) // 2], 4),
+            "ru_maxrss_kb": max(int(kb) for _, _, kb in runs)}
 
 
 def stages(ht, d_max: int, b_max: int) -> dict:
@@ -235,10 +272,11 @@ def main(argv=None) -> int:
     parser.add_argument("--orders", nargs="*", default=["8,8", "10,10", "12,12"])
     parser.add_argument("--oracle", nargs="*", default=["6,4", "6,5"])
     args = parser.parse_args(argv)
+    report = {"startup": startup(args.src)}
+    print(f"startup: {report['startup']}", file=sys.stderr)
     sys.path.insert(0, os.path.abspath(args.src))
     import hurwitz_toda as ht
 
-    report = {}
     for order in filter(None, args.orders):
         d_max, b_max = (int(x) for x in order.split(","))
         report[order] = stages(ht, d_max, b_max)

@@ -12,8 +12,7 @@ numbers.
 from __future__ import annotations
 
 import threading
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import mul
@@ -31,23 +30,22 @@ from .partitions import (
 from .series import ZERO_KEY, Key, TruncatedSeries, _flat, _grouped, _mul_groups, _scaled, make_key
 
 
-@dataclass(frozen=True)
-class HurwitzRecord:
-    """One covering count with its context.
-
-    ``genus`` is filled from b + 2 - len(mu) - len(nu) over two when that is
-    a nonnegative even integer and the count is connected; otherwise it is
-    None (the formula presumes a covering exists) and the value is
-    necessarily zero for connected counts.
+class HurwitzRecord(namedtuple("HurwitzRecord", "b mu nu value connected")):
+    """One covering count: profiles ``mu`` and ``nu``, two Partitions of the
+    degree ``d`` = |mu|, and b transposition points.  A connected count's
+    ``genus`` is :func:`genus_of` (b, mu, nu), and where that is None the
+    value is necessarily zero; a disconnected count has none.
     """
 
-    d: int
-    b: int
-    mu: Partition
-    nu: Partition
-    value: Fraction
-    genus: int | None
-    connected: bool
+    __slots__ = ()
+
+    @property
+    def d(self) -> int:
+        return self.mu.size
+
+    @property
+    def genus(self) -> int | None:
+        return genus_of(self.b, self.mu, self.nu) if self.connected else None
 
     def to_json_obj(self) -> dict:
         return {
@@ -231,8 +229,8 @@ class _Cells:
         self.grow_tau(d_max, b_max)
         dfact, bfact = factorial(d_max), factorial(b_max)
         # cell (d, b) holds d! b! times its coefficients: scale all to d_max! b_max!
-        nums = {key: x * (dfact // factorial(d)) * (bfact // factorial(b))
-                for (d, b), cell in self.tau.items() if d <= d_max and b <= b_max
+        nums = {key: x * scale for (d, b), cell in self.tau.items() if d <= d_max and b <= b_max
+                for scale in [dfact // factorial(d) * (bfact // factorial(b))]
                 for key, x in cell.items()}
         return TruncatedSeries(d_max, b_max)._same_caps(nums, dfact * bfact)
 
@@ -312,8 +310,7 @@ def _record(h: dict, d: int, b: int, mu: Partition, nu: Partition) -> HurwitzRec
     """b! times the coefficient of q^d beta^b p_mu p'_nu, from the log counts h;
     mu and nu are validated Partitions, so their parts are a key's as they are."""
     count = h.get((d, b, mu.parts, nu.parts, 0, 0), 0)
-    return HurwitzRecord(d=d, b=b, mu=mu, nu=nu, value=Fraction(count, factorial(d)),
-                         genus=genus_of(b, mu, nu), connected=True)
+    return HurwitzRecord(b, mu, nu, Fraction(count, factorial(d)), True)
 
 
 def double_hurwitz(d: int, b: int, mu: Partition, nu: Partition, *,
@@ -341,8 +338,7 @@ def cov_record(d: int, b: int, mu: Partition, nu: Partition, *,
     if mu.size != d or nu.size != d:
         raise ValueError(f"profiles must have size {d}")
     value = cov_with_transpositions(d, mu, nu, b, cache=cache)
-    return HurwitzRecord(d=d, b=b, mu=mu, nu=nu, value=value,
-                         genus=None, connected=False)
+    return HurwitzRecord(b, mu, nu, value, False)
 
 
 def simple_hurwitz(g: int, d: int, *,

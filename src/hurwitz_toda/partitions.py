@@ -11,7 +11,7 @@ test suite on every small partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 from typing import Iterator
@@ -115,19 +115,17 @@ def _unchecked(parts: tuple) -> Partition:
     return lam
 
 
-@dataclass(frozen=True)
-class MayaSet:
+class MayaSet(namedtuple("MayaSet", "plus minus")):
     """Half-integer profile coding of a partition.
 
     Elements are stored doubled so that everything stays in exact integer
     arithmetic: the half-integer k is represented by the odd integer 2k.
     ``plus`` holds the positive elements of the coded set, ``minus`` the
-    negative half-integers missing from it; both are finite and of equal
-    cardinality for any set produced by :func:`maya_set`.
+    negative half-integers missing from it, as frozensets; both are finite
+    and of equal cardinality for any set produced by :func:`maya_set`.
     """
 
-    plus: frozenset[int]
-    minus: frozenset[int]
+    __slots__ = ()
 
     def as_fractions(self) -> tuple[set[Fraction], set[Fraction]]:
         """Undoubled view, for display."""

@@ -27,8 +27,7 @@ be shared freely across threads.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Callable, Iterable, Iterator
@@ -67,8 +66,7 @@ def _exact(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class ShiftTerm:
+class ShiftTerm(namedtuple("ShiftTerm", "coeff z_power s_degree")):
     """One summand of a variable shift p_k -> p_k + sum(terms).
 
     Each term is coeff * z^z_power * s^s_degree with an integer coeff (a
@@ -78,19 +76,17 @@ class ShiftTerm:
     at the top of the windows.
     """
 
-    coeff: int
-    z_power: int = 0
-    s_degree: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        coeff = _exact(self.coeff)
+    def __new__(cls, coeff, z_power: int = 0, s_degree: int = 0):
+        coeff = _exact(coeff)
         if coeff.denominator != 1:
             raise ValueError(f"shift coefficient {coeff} is not an integer")
-        if self.s_degree not in (0, 1):
+        if s_degree not in (0, 1):
             raise ValueError("unsupported shift order")
-        if self.z_power < 0:
-            raise ValueError(f"shift z power {self.z_power} is negative")
-        object.__setattr__(self, "coeff", coeff.numerator)
+        if z_power < 0:
+            raise ValueError(f"shift z power {z_power} is negative")
+        return super().__new__(cls, coeff.numerator, z_power, s_degree)
 
 
 class TruncatedSeries:

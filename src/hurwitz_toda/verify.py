@@ -22,13 +22,13 @@ are chosen so that every retained residual coefficient is exact:
   and never formed.
 
 Hence every verifier checks the full (d_max, b_max) window it was given.
-A Hirota check on a corrupted series whose residual is zero is refused, as
-a negative control that cannot fail shows nothing.
+A check on a corrupted series whose residual is zero is refused, as a
+negative control that cannot fail shows nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -36,57 +36,62 @@ from .hurwitz import build_tau, corrupted, format_rational, simple_hurwitz
 from .series import Key, ShiftTerm, TruncatedSeries, _toda_pairs, key_to_json_obj, make_key
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of one identity check.
+class VerificationReport(namedtuple("VerificationReport", "identity orders residual notes")):
+    """Outcome of one identity check, read from its residual series.
 
-    ``passed`` holds exactly when the residual series has an empty
-    coefficient map; ``first_failure`` names the smallest offending monomial
-    otherwise, and ``first_failure_value`` is its residual coefficient.
+    ``passed`` holds exactly when the residual has no terms;
+    ``first_failure`` names the smallest offending monomial otherwise, and
+    ``first_failure_value`` is its residual coefficient.
     """
 
-    identity: str
-    orders: dict
-    passed: bool
-    residual: TruncatedSeries
-    first_failure: Key | None
-    notes: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    @property
+    def passed(self) -> bool:
+        return self.residual.is_zero()
+
+    @property
+    def first_failure(self) -> Key | None:
+        return self.residual.first_key()
 
     @property
     def first_failure_value(self) -> Fraction | None:
-        if self.first_failure is None:
-            return None
-        return self.residual.coefficient(self.first_failure)
+        key = self.first_failure
+        return None if key is None else self.residual.coefficient(key)
 
     def to_json_obj(self) -> dict:
+        key = self.first_failure
         obj = {
             "identity": self.identity,
             "orders": self.orders,
-            "pass": self.passed,
-            "first_failure": (
-                key_to_json_obj(self.first_failure)
-                if self.first_failure is not None else None
-            ),
+            "pass": key is None,
+            "first_failure": key_to_json_obj(key) if key is not None else None,
             # flags and labels as they are, rationals as integers or "num/den"
             "notes": {k: v if isinstance(v, (bool, str)) else format_rational(v)
                       for k, v in self.notes.items()},
         }
         # only failing reports carry a residual value
-        if self.first_failure is not None:
-            obj["first_failure_value"] = format_rational(self.first_failure_value)
+        if key is not None:
+            obj["first_failure_value"] = format_rational(self.residual.coefficient(key))
         return obj
 
 
-def _report(identity: str, orders: dict, residual: TruncatedSeries,
-            notes: dict | None = None) -> VerificationReport:
-    return VerificationReport(
-        identity=identity,
-        orders=orders,
-        passed=residual.is_zero(),
-        residual=residual,
-        first_failure=residual.first_key(),
-        notes=notes or {},
-    )
+def _tau(d_max: int, b_max: int, corruption: Key | None) -> TruncatedSeries:
+    """Every verifier's input: tau at (d_max, b_max), with ``corruption`` applied."""
+    if d_max < 1:
+        raise ValueError("d_max must be at least 1")
+    return corrupted(build_tau(d_max, b_max), corruption)
+
+
+def _checked(report: VerificationReport, corruption: Key | None,
+             label: str | None = None) -> VerificationReport:
+    """``report``, unless it is a negative control that cannot fail: a
+    corruption that leaves the residual zero is refused with ValueError."""
+    if corruption is not None and report.passed:
+        what = label or f"{report.identity} {report.orders}"
+        raise ValueError(f"{what} leaves a corrupted tau a zero residual,"
+                         " so its negative control cannot fail")
+    return report
 
 
 def toda_residual(tau: TruncatedSeries) -> TruncatedSeries:
@@ -101,11 +106,9 @@ def toda_residual(tau: TruncatedSeries) -> TruncatedSeries:
 def verify_toda(d_max: int, b_max: int, *,
                 corruption: Key | None = None) -> VerificationReport:
     """Check the lowest lattice equation on the series at (d_max, b_max)."""
-    if d_max < 1:
-        raise ValueError("d_max must be at least 1")
-    tau = corrupted(build_tau(d_max, b_max), corruption)
-    residual = toda_residual(tau)
-    return _report("toda", {"d_max": d_max, "b_max": b_max}, residual)
+    residual = toda_residual(_tau(d_max, b_max, corruption))
+    return _checked(VerificationReport("toda", {"d_max": d_max, "b_max": b_max}, residual, {}),
+                    corruption)
 
 
 def verify_tau_n(n: int, d_max: int, b_max: int, *,
@@ -123,18 +126,13 @@ def verify_tau_n(n: int, d_max: int, b_max: int, *,
     """
     if abs(n) > 3:
         raise ValueError("charge shift restricted to |n| <= 3")
-    if d_max < 1:
-        raise ValueError("d_max must be at least 1")
-    tau = corrupted(build_tau(d_max, b_max), corruption)
+    tau = _tau(d_max, b_max, corruption)
     c = Fraction(n * (4 * n * n - 1), 24)
     residual = (tau._times_exp_beta(n, c)._times_exp_beta(-n, -c) - tau
                 + toda_residual(tau)._times_exp_beta(n, 2 * c))
-    return _report(
-        "tau-n",
-        {"n": n, "d_max": d_max, "b_max": b_max},
-        residual,
-        notes={"prefactor_beta_exponent": c},
-    )
+    orders = {"n": n, "d_max": d_max, "b_max": b_max}
+    return _checked(VerificationReport("tau-n", orders, residual,
+                                       {"prefactor_beta_exponent": c}), corruption)
 
 
 def _factor_shifts(n_s: int, s_prime: bool, s_sign: int, zv_sign: int, zv_prime: bool,
@@ -177,19 +175,17 @@ def verify_hirota(m: int, n_s: int, d_max: int, b_max: int, *,
     side is twice the lowest-equation residual, monomial for monomial.
 
     A ``corruption`` is refused with ValueError when the check could not
-    fail: up front for the IDENTITIES_OF_EVERY_SERIES, which pass whatever
-    tau holds, and afterwards whenever the corrupted residual is zero.
+    fail: before any product for the IDENTITIES_OF_EVERY_SERIES, which pass
+    whatever tau holds, and afterwards whenever the corrupted residual is zero.
     """
     if m not in (-1, 0, 1) or n_s not in (1, 2, 3):
         raise ValueError("restricted Hirota scope")
     if side not in ("p", "pprime"):
         raise ValueError("side must be 'p' or 'pprime'")
-    if d_max < 1:
-        raise ValueError("d_max must be at least 1")
+    tau = _tau(d_max, b_max, corruption)
     if corruption is not None and (m, n_s, side) in IDENTITIES_OF_EVERY_SERIES:
         raise ValueError(f"hirota (m, n_s, side) = {(m, n_s, side)} holds for every series,"
                          " so a corrupted tau cannot fail it")
-    tau = corrupted(build_tau(d_max, b_max), corruption)
     primed = side == "pprime"
 
     def read(cap: int, scale: int, common: int, zv_sign: int, zv_prime: bool,
@@ -227,16 +223,13 @@ def verify_hirota(m: int, n_s: int, d_max: int, b_max: int, *,
     right = read(d_max, m, 0, -1, False, m + 1, 0 if primed else Fraction(2, n_s))
     residual = left.mul_q_power(m + 1).mul_exp_beta(Fraction(m * (m + 1), 2)) - right
     orders = {"m": m, "n_s": n_s, "d_max": d_max, "b_max": b_max}
-    if corruption is not None and residual.is_zero():
-        raise ValueError(f"hirota {orders} with side {side!r} leaves a corrupted tau"
-                         " a zero residual, so its negative control cannot fail")
-
     notes: dict = {"side": side}
     if m == 0 and n_s == 1 and primed and corruption is None:
         ref = toda_residual(tau)
         half = residual.extract_s(1) * Fraction(1, 2)
         notes["matches_toda_residual"] = (half == ref)
-    return _report("hirota", orders, residual, notes=notes)
+    return _checked(VerificationReport("hirota", orders, residual, notes), corruption,
+                    f"hirota {orders} with side {side!r}")
 
 
 def _x_recursion(d_max: int, b_max: int) -> dict[tuple[int, int], Fraction]:
@@ -308,7 +301,7 @@ def verify_toda_specialized(u_max: int, *,
     if u_max < 1:
         raise ValueError("u_max must be at least 1")
     d_max, b_max = u_max, 2 * u_max - 2
-    tau = corrupted(build_tau(d_max, b_max), corruption)
+    tau = _tau(d_max, b_max, corruption)
     restricted = tau.truncate_parts(1)
 
     structural = restricted.filtered(
@@ -349,9 +342,5 @@ def verify_toda_specialized(u_max: int, *,
         "recursion_matches_series": recursion_delta.is_zero(),
         "recursion_matches_simple_hurwitz": hurwitz_delta.is_zero(),
     }
-    return _report(
-        "toda-specialized",
-        {"u_max": u_max, "d_max": d_max, "b_max": b_max},
-        residual,
-        notes=notes,
-    )
+    orders = {"u_max": u_max, "d_max": d_max, "b_max": b_max}
+    return _checked(VerificationReport("toda-specialized", orders, residual, notes), corruption)

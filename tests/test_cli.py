@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -296,3 +299,15 @@ class TestChartable:
         assert table["3"] == ["1", "1", "1"]
         assert table["2,1"] == ["-1", "0", "2"]
         assert table["1,1,1"] == ["1", "-1", "1"]
+
+
+class TestImport:
+    def test_cli_loads_neither_dataclasses_nor_inspect(self):
+        # -S leaves out site, so only the package's own imports are counted
+        src = Path(cli.__file__).resolve().parents[1]
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); import hurwitz_toda.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

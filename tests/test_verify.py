@@ -111,11 +111,19 @@ class TestAgainstWholeProducts:
             assert toda_residual(x) == reference_toda_residual(x)
 
     def test_toda_every_key_at_four(self):
+        # a key whose corrupted residual is zero is refused, any other checked
         tau = build_tau(4, 4)
         assert toda_residual(tau) == reference_toda_residual(tau)
+        refused = 0
         for key in tau.keys():
-            bad = corrupted(tau, key)
-            assert verify_toda(4, 4, corruption=key).residual == reference_toda_residual(bad)
+            want = reference_toda_residual(corrupted(tau, key))
+            if want.is_zero():
+                refused += 1
+                with pytest.raises(ValueError, match="zero residual"):
+                    verify_toda(4, 4, corruption=key)
+            else:
+                assert verify_toda(4, 4, corruption=key).residual == want
+        assert 0 < refused < len(tau)
 
     def test_toda_sampled_keys_at_eight(self):
         tau = build_tau(8, 8)
@@ -129,8 +137,12 @@ class TestAgainstWholeProducts:
         tau = build_tau(5, 5)
         assert verify_tau_n(n, 5, 5).residual == reference_tau_n_residual(tau, n)
         for key in random.Random(n).sample(sorted(tau.keys()), 3):
-            report = verify_tau_n(n, 5, 5, corruption=key)
-            assert report.residual == reference_tau_n_residual(corrupted(tau, key), n)
+            want = reference_tau_n_residual(corrupted(tau, key), n)
+            if want.is_zero():
+                with pytest.raises(ValueError, match="zero residual"):
+                    verify_tau_n(n, 5, 5, corruption=key)
+            else:
+                assert verify_tau_n(n, 5, 5, corruption=key).residual == want
 
 
 def reference_toda_pairs(f):
@@ -351,6 +363,41 @@ class TestVacuousControls:
                 assert not report.passed
         assert len(DEGREE_ONE_REFUSALS) == 13
         assert refused == ZERO_RESIDUAL_REFUSALS[orders]
+
+
+class TestZeroResidualRefused:
+    """Every verifier refuses a corruption its residual cannot see, with one
+    message: the check's identity and orders, then the same tail."""
+
+    TAIL = " leaves a corrupted tau a zero residual, so its negative control cannot fail"
+    # p_2 p'_2 q^2: the lowest equation's residual at (2, 2) does not see it,
+    # and the specialization drops every part above one
+    UNSEEN = make_key(dq=2, mu=(2,), nu=(2,))
+
+    def refusal(self, verifier, *args, **kwargs):
+        with pytest.raises(ValueError) as exc:
+            verifier(*args, **kwargs)
+        return str(exc.value)
+
+    def test_toda(self):
+        assert self.refusal(verify_toda, 2, 2, corruption=self.UNSEEN) == (
+            "toda {'d_max': 2, 'b_max': 2}" + self.TAIL)
+        assert verify_toda(2, 2).passed
+
+    def test_tau_n(self):
+        assert self.refusal(verify_tau_n, 1, 2, 2, corruption=self.UNSEEN) == (
+            "tau-n {'n': 1, 'd_max': 2, 'b_max': 2}" + self.TAIL)
+
+    def test_hirota(self):
+        # Hirota's label names its side too
+        assert self.refusal(verify_hirota, 1, 1, 1, 1, side="p", corruption=CORRUPTIONS[0]) == (
+            "hirota {'m': 1, 'n_s': 1, 'd_max': 1, 'b_max': 1} with side 'p'" + self.TAIL)
+
+    def test_toda_specialized(self):
+        unseen = make_key(dq=3, b=2, mu=(2, 1), nu=(3,))
+        assert self.refusal(verify_toda_specialized, 3, corruption=unseen) == (
+            "toda-specialized {'u_max': 3, 'd_max': 3, 'b_max': 4}" + self.TAIL)
+        assert not verify_toda_specialized(3, corruption=CORRUPTIONS[0]).passed
 
 
 def reference_hirota(tau, m, n_s, side):
