@@ -3,7 +3,7 @@
 as recorded in the BENCH_*.json files.
 
     python3 scripts/bench_stages.py [--src DIR] [--orders 8,8 10,10 12,12]
-                                    [--oracle 6,4 6,5]
+                                    [--oracle 6,4 6,5] [--verify 10,10]
 
 Imports ``hurwitz_toda`` from DIR (default: ``src/`` of this checkout), so
 the same script times any other checkout whose ``hurwitz`` has ``_Cells``
@@ -23,6 +23,15 @@ script.  It first times:
                   high-water mark, so they are spawned by a bare
                   ``python -S`` (about 8 MB), not by this process
 
+and, for each ``--verify`` order (d_max, b_max), end to end:
+
+    verify_toda   REPEATS spawns of ``python -m hurwitz_toda.cli verify toda
+                  --dmax D --bmax B`` against DIR, spawned as ``startup``
+                  spawns (after it, so the bytecode caches are written), its
+                  output discarded: the least and the median seconds, and
+                  the largest ru_maxrss, the child's own peak; it exits
+                  nonzero unless every run passes
+
 Every other stage reports the least of REPEATS runs, timed with
 ``time.perf_counter`` in this one process; a cold stage starts cold on
 every run.  For each order (d_max, b_max) it times:
@@ -37,7 +46,8 @@ every run.  For each order (d_max, b_max) it times:
                   their tau cells grown untimed beforehand
     scale_q_exp   tau.scale_q_exp(2), as Hirota's m = 0 left factor uses it
     toda_residual the lowest equation's residual, one pass over the pairs
-                  of tau's rows
+                  of tau's rows; also its tracemalloc peak (bytes), traced
+                  on one more run after the timed ones
     tau_n         verify_tau_n at n = 1 and n = -1, tau read from the
                   default cells grown by one untimed build
     hirota_shift  the shift_p calls of verify_hirota(0, 1), on their
@@ -80,8 +90,8 @@ and exits nonzero unless every class-algebra numerator, over L^k d!^2 for
 k = b + 2 classes and L the lcm of the dims, equals the sweep's disconnected
 count over d!: in integers, the count times L^k d!.
 
-An empty ``--orders`` or ``--oracle`` (no values, or ``""``) skips that
-part.  Prints one JSON object.
+An empty ``--orders``, ``--oracle`` or ``--verify`` (no values, or ``""``)
+skips that part.  Prints one JSON object.
 """
 
 from __future__ import annotations
@@ -92,6 +102,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from math import comb, factorial
 
 REPEATS = 3
@@ -109,28 +120,50 @@ def best(fn) -> tuple:
     return round(min(times), 4), result
 
 
-# Prints seconds, exit code and ru_maxrss of each of argv[1] timed spawns.
+# Prints seconds, exit code and ru_maxrss of each of argv[1] timed spawns of
+# ``python ARGV[2:]``, their stdout discarded.
 SPAWNER = """
 import os, sys, time
-argv = [sys.executable, "-c", "import hurwitz_toda.cli"]
+argv = [sys.executable, *sys.argv[2:]]
+quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
 for _ in range(int(sys.argv[1])):
     t0 = time.perf_counter()
-    _, status, usage = os.wait4(os.posix_spawn(argv[0], argv, os.environ), 0)
+    pid = os.posix_spawn(argv[0], argv, os.environ, file_actions=quiet)
+    _, status, usage = os.wait4(pid, 0)
     print(time.perf_counter() - t0, os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def startup(src: str) -> dict:
+def spawned(src: str, args: list[str], count: int) -> list[tuple[float, int, int]]:
+    """(seconds, exit code, ru_maxrss KB) of ``count`` spawns of ``python
+    ARGS`` against SRC, each spawned by a bare ``python -S``."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = os.path.abspath(src)
-    out = subprocess.run([sys.executable, "-S", "-c", SPAWNER, str(REPEATS + 1)], env=env,
+    out = subprocess.run([sys.executable, "-S", "-c", SPAWNER, str(count), *args], env=env,
                          capture_output=True, text=True, check=True).stdout
-    warm, *runs = [line.split() for line in out.splitlines()]  # warm wrote the bytecode caches
-    if any(code != "0" for _, code, _ in [warm, *runs]):
-        raise SystemExit(f"import hurwitz_toda.cli failed from {src}")
-    times = sorted(float(s) for s, _, _ in runs)  # REPEATS is odd: the middle is the median
+    return [(float(s), int(code), int(kb)) for s, code, kb in map(str.split, out.splitlines())]
+
+
+def summary(runs: list[tuple[float, int, int]]) -> dict:
+    times = sorted(s for s, _, _ in runs)  # REPEATS is odd: the middle is the median
     return {"least_s": round(times[0], 4), "median_s": round(times[len(times) // 2], 4),
-            "ru_maxrss_kb": max(int(kb) for _, _, kb in runs)}
+            "ru_maxrss_kb": max(kb for _, _, kb in runs)}
+
+
+def startup(src: str) -> dict:
+    warm, *runs = spawned(src, ["-c", "import hurwitz_toda.cli"], REPEATS + 1)
+    # warm wrote the bytecode caches
+    if any(code for _, code, _ in [warm, *runs]):
+        raise SystemExit(f"import hurwitz_toda.cli failed from {src}")
+    return summary(runs)
+
+
+def verify_toda(src: str, d_max: int, b_max: int) -> dict:
+    runs = spawned(src, ["-m", "hurwitz_toda.cli", "verify", "toda", "--dmax", str(d_max),
+                         "--bmax", str(b_max)], REPEATS)
+    if any(code for _, code, _ in runs):
+        raise SystemExit(f"verify toda failed at ({d_max}, {b_max}) from {src}")
+    return summary(runs)
 
 
 def stages(ht, d_max: int, b_max: int) -> dict:
@@ -164,6 +197,12 @@ def stages(ht, d_max: int, b_max: int) -> dict:
     (residual,) = timed("toda_residual", lambda: [ht.verify.toda_residual(tau)])
     if not residual.is_zero():
         raise SystemExit(f"toda residual nonzero at ({d_max}, {b_max})")
+    tracemalloc.start()
+    try:
+        ht.verify.toda_residual(tau)
+        out["toda_residual"]["traced_peak"] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     ht.build_tau(d_max, b_max)
     residuals = timed("tau_n", lambda: [ht.verify_tau_n(n, d_max, b_max).residual
                                         for n in (1, -1)])
@@ -271,9 +310,14 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"))
     parser.add_argument("--orders", nargs="*", default=["8,8", "10,10", "12,12"])
     parser.add_argument("--oracle", nargs="*", default=["6,4", "6,5"])
+    parser.add_argument("--verify", nargs="*", default=["10,10"])
     args = parser.parse_args(argv)
     report = {"startup": startup(args.src)}
     print(f"startup: {report['startup']}", file=sys.stderr)
+    for order in filter(None, args.verify):
+        d_max, b_max = (int(x) for x in order.split(","))
+        report.setdefault("verify_toda", {})[order] = verify_toda(args.src, d_max, b_max)
+        print(f"verify_toda {order}: {report['verify_toda'][order]}", file=sys.stderr)
     sys.path.insert(0, os.path.abspath(args.src))
     import hurwitz_toda as ht
 

@@ -14,11 +14,11 @@ runs as many workers as there are CPUs).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
+
+# json, csv and io are imported by the output paths that write them, so a
+# start-up that writes neither loads neither
 
 from .characters import character
 from .hurwitz import (
@@ -72,6 +72,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _csv(header: list, rows) -> str:
+    import csv
+    import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -100,6 +102,7 @@ def _records_human(records) -> str:
 
 def _records_out(records, fmt: str, out_path: str | None) -> None:
     if fmt == "json":
+        import json
         _emit(json.dumps([r.to_json_obj() for r in records], indent=2) + "\n", out_path)
     elif fmt == "csv":
         _emit(_records_csv(records), out_path)
@@ -147,6 +150,7 @@ def cmd_verify(args) -> int:
         report = verify_tau_n(args.n, args.dmax, args.bmax, corruption=corruption)
 
     if args.format == "json":
+        import json
         _emit(json.dumps(report.to_json_obj(), indent=2) + "\n", args.out)
     else:
         status = "PASS" if report.passed else "FAIL"
@@ -177,6 +181,7 @@ def cmd_compare(args) -> int:
     # after a CSV table the summary goes to stderr, so stdout stays one table
     summary = sys.stderr if args.format == "csv" else sys.stdout
     if args.format == "json":
+        import json
         obj = [
             {k: (format_rational(v) if k in ("oracle", "series", "formula") and v is not None
                  else (list(v) if isinstance(v, tuple) else v))

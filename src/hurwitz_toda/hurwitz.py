@@ -191,10 +191,12 @@ class _Cells:
             table, dfact = self.table(d), factorial(d)
             # chi_{lam'}(mu) = sgn(mu) chi_lam(mu) and f2(lam') = -f2(lam): a
             # shape and its conjugate add twice the shape's term or cancel, and
-            # a self-conjugate shape has f2 = 0.  One shape of each pair is read.
+            # a self-conjugate shape has f2 = 0.  One shape of each pair is
+            # read, straight from the cache: its partner's characters are not.
             reps = [(k, 1 if lam.parts == conj.parts else 2) for k, lam in enumerate(table.shapes)
                     for conj in [lam.conjugate()] if lam.parts >= conj.parts]
-            chi = [[row[k] for k, _ in reps] for row in map(table.row, table.shapes)]
+            chi = [[self.cc.character(table.shapes[k], mu) for k, _ in reps]
+                   for mu in table.shapes]
             sizes = list(table.sizes.values())
             # shapes by the parity of their length, in table order
             by_parity = [[i for i, mu in enumerate(table.shapes) if mu.length % 2 == p]

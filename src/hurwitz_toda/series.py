@@ -32,6 +32,8 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Callable, Iterable, Iterator
 
+from .partitions import partitions_of
+
 Key = tuple[int, int, tuple, tuple, int, int]
 
 ZERO_KEY: Key = (0, 0, (), (), 0, 0)
@@ -571,73 +573,115 @@ def _toda_pairs(f: TruncatedSeries) -> TruncatedSeries:
     targets: (m_B - m_A)(n_B - n_A) f_A f_B at dq_A + dq_B with the last
     part, a 1, of each merged pattern removed, and, below dq_A + dq_B =
     d_max, -2 cosh(c beta) f_A f_B at dq_A + dq_B + 1 with the merged
-    patterns, c = dq_B - dq_A, halved when A = B.  Patterns carry small
-    integer ids, each pair of ids is merged once, and the targets are
-    summed per c, the pair terms (sign turned) with c = 0, in maps from
-    (dq, mu) to nu.  Each sum is convolved with cosh(c beta) once: over B!
-    with B = b_max its weights are the integers c^j (B!/j!) for even j, so
+    patterns, c = dq_B - dq_A, halved when A = B.  Over B! with B = b_max
+    the weights of cosh(c beta) are the integers c^j (B!/j!) for even j, so
     the residual sits over den^2 B!.  z and s are refused.
+
+    Patterns carry integer ids in increasing tuple order, and each pair of
+    ids is merged once.  The pairs are walked by S = dq_A + dq_B and, within
+    S, by dq_A, which fixes c: each dq_A's squares are summed per target and
+    convolved with cosh(c beta) into degree S + 1 once it is done, and after
+    S, whose pair terms are summed and added likewise with c = 0, degree S
+    is complete and is moved into the residual.  When f equals its mirror,
+    mu and nu swapped, so does the residual, and the mirror of a pair of
+    rows feeds the mirrored targets: only pairs whose merged nu is at most
+    their merged mu are multiplied, and each sum is written at (mu, nu) and
+    (nu, mu).  Merging a fixed pattern is strictly increasing in tuple
+    order, so with the rows of a group in increasing nu, the partners kept
+    by a row are a prefix of the other group's rows, which shrinks as the
+    row's nu grows.
     """
     if f.z_max or f.s_max:
         raise ValueError("the Toda residual takes no z or s symbols")
-    d_max, b_max, top = f.d_max, f.b_max, factorial(f.b_max)
-    # patterns[i] has id i; merges[i][j] holds the ids of the merge of
-    # patterns i and j and of that merge without its last part
-    ids: dict = {}
-    patterns: list = []
+    d_max, b_max, top, nums = f.d_max, f.b_max, factorial(f.b_max), f._nums
+    # every pattern of weight <= d_max has an id, in increasing tuple order;
+    # merges[i][j] holds the ids of the merge of patterns i and j and of that
+    # merge without its last part
+    patterns = sorted(lam.parts for w in range(d_max + 1) for lam in partitions_of(w))
+    ids = {pattern: i for i, pattern in enumerate(patterns)}
     merges: dict = defaultdict(dict)
-
-    def pid(pattern: tuple) -> int:
-        if pattern not in ids:
-            ids[pattern] = len(patterns)
-            patterns.append(pattern)
-        return ids[pattern]
 
     def merge(i: int, j: int) -> tuple[int, int]:
         pattern = tuple(sorted(patterns[i] + patterns[j], reverse=True))
-        merges[i][j] = pid(pattern), pid(pattern[:-1])
+        merges[i][j] = ids[pattern], ids[pattern[:-1]]
         return merges[i][j]
 
-    # the rows of each (dq, mu), in increasing dq so that c >= 0
-    groups = sorted(((dq, pid(mu), mu.count(1), [(pid(nu), nu.count(1), bv) for nu, bv in rows])
-                     for (dq, _, _), by_mu in _grouped(f._nums) for mu, rows in by_mu),
-                    key=lambda group: group[0])
-    sums = [defaultdict(lambda: defaultdict(lambda: [0] * (b_max + 1))) for _ in range(d_max + 1)]
-    for i, (da, mu1, m1, rows1) in enumerate(groups):
-        for g, (db, mu2, m2, rows2) in enumerate(groups[i:]):
-            dq = da + db
-            if dq > d_max:
-                break
-            top_degree = dq == d_max
-            if top_degree and m1 == m2:
-                continue
-            mu, mu_less = merges[mu1].get(mu2) or merge(mu1, mu2)
-            square = None if top_degree else sums[db - da][(dq + 1, mu)]
-            paired = sums[0][(dq, mu_less)] if m1 != m2 else None
-            # within one group the pairs start at the diagonal
-            for r, (nu1, n1, bv1) in enumerate(rows1):
-                nu_merges = merges[nu1]
-                for nu2, n2, bv2 in rows2 if g else rows2[r:]:
-                    weight = (m2 - m1) * (n2 - n1)
-                    if top_degree and not weight:
-                        continue
-                    nu, nu_less = nu_merges.get(nu2) or merge(nu1, nu2)
-                    _pair_product(bv1, bv2, b_max, None if top_degree else square[nu],
-                                  1 if bv1 is bv2 else 2, paired[nu_less] if weight else None,
-                                  weight)
-    out: dict = defaultdict(lambda: [0] * (b_max + 1))
-    for c, acc in enumerate(sums):
+    def vectors() -> defaultdict:
+        return defaultdict(lambda: defaultdict(lambda: [0] * (b_max + 1)))
+
+    def fold(layer: dict, into: dict, c: int) -> None:
+        """Subtract cosh(c beta) times each layer sum, over B!, into ``into``."""
         weights = [c ** j * (top // factorial(j)) for j in range(0, b_max + 1 if c else 1, 2)]
         # reach[b] pairs each beta-degree a term at beta^b reaches with its weight
         reach = [list(zip(range(b, b_max + 1, 2), weights)) for b in range(b_max + 1)]
-        for (dq, mu), targets in acc.items():
+        for mu, targets in layer.items():
+            into_mu = into[mu]
             for nu, vec in targets.items():
-                target = out[(dq, patterns[mu], patterns[nu], 0, 0)]
+                target = into_mu[nu]
                 for b, x in enumerate(vec):
                     if x:
                         for j, w in reach[b]:
                             target[j] -= x * w
-    return f._same_caps(dict(_flat(out)), f._den * f._den * top)
+
+    # the rows of each (dq, mu), in increasing nu id
+    tree: dict = {}
+    for (dq, b, mu, nu, _, _), x in nums.items():
+        tree.setdefault((dq, mu), {}).setdefault(nu, []).append((b, x))
+    groups: list = [[] for _ in range(d_max + 1)]
+    for (dq, mu), rows in tree.items():
+        groups[dq].append((ids[mu], mu.count(1), sorted(
+            (ids[nu], nu.count(1), sorted(bv)) for nu, bv in rows.items())))
+    del tree
+    symmetric = all(nums.get((dq, b, nu, mu, z, s)) == x
+                    for (dq, b, mu, nu, z, s), x in nums.items())
+    out: dict = {}
+    ahead = vectors()
+    for S in range(d_max + 1):
+        top_degree = S == d_max
+        done, ahead, paired = ahead, vectors(), vectors()
+        for da in range(S // 2 + 1):
+            db, square = S - da, vectors()
+            for i, (mu1, m1, rows1) in enumerate(groups[da]):
+                for mu2, m2, rows2 in groups[da][i:] if da == db else groups[db]:
+                    if top_degree and m1 == m2:
+                        continue
+                    mu, mu_less = merges[mu1].get(mu2) or merge(mu1, mu2)
+                    into_square = None if top_degree else square[mu]
+                    into_paired = paired[mu_less] if m1 != m2 else None
+                    # within one group the pairs start at the diagonal; on a
+                    # symmetric f a row keeps the partners whose merged nu is
+                    # at most mu, a prefix of rows2 that shrinks as nu1 grows
+                    same, end = rows1 is rows2, len(rows2)
+                    for r, (nu1, n1, bv1) in enumerate(rows1):
+                        nu_merges, start = merges[nu1], r if same else 0
+                        while symmetric and end > start:
+                            last = rows2[end - 1][0]
+                            if (nu_merges.get(last) or merge(nu1, last))[0] <= mu:
+                                break
+                            end -= 1
+                        if end <= start:
+                            break
+                        for nu2, n2, bv2 in rows2[start:end]:
+                            weight = (m2 - m1) * (n2 - n1)
+                            if top_degree and not weight:
+                                continue
+                            nu, nu_less = nu_merges.get(nu2) or merge(nu1, nu2)
+                            _pair_product(bv1, bv2, b_max,
+                                          None if top_degree else into_square[nu],
+                                          1 if bv1 is bv2 else 2,
+                                          into_paired[nu_less] if weight else None, weight)
+            # this da's squares all land at S + 1, with c = db - da
+            fold(square, ahead, db - da)
+        # degree S is complete: its squares were folded in at S - 1
+        fold(paired, done, 0)
+        for mu, targets in done.items():
+            for nu, vec in targets.items():
+                for b, x in enumerate(vec):
+                    if x:
+                        out[(S, b, patterns[mu], patterns[nu], 0, 0)] = x
+                        if symmetric:
+                            out[(S, b, patterns[nu], patterns[mu], 0, 0)] = x
+    return f._same_caps(out, f._den * f._den * top)
 
 
 def _pair_product(bv1: list, bv2: list, b_max: int, square: list | None, k: int,

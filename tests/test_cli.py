@@ -302,12 +302,21 @@ class TestChartable:
 
 
 class TestImport:
-    def test_cli_loads_neither_dataclasses_nor_inspect(self):
-        # -S leaves out site, so only the package's own imports are counted
+    @staticmethod
+    def loaded(names):
+        """Which of ``names`` a bare ``python -S`` import of the CLI loads;
+        -S leaves out site, so only the package's own imports are counted."""
         src = Path(cli.__file__).resolve().parents[1]
         code = (f"import sys; sys.path.insert(0, {str(src)!r}); import hurwitz_toda.cli; "
-                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+                f"print(sorted({set(names)!r} & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-S", "-c", code],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        return proc.stdout
+
+    def test_cli_loads_neither_dataclasses_nor_inspect(self):
+        assert self.loaded({"dataclasses", "inspect"}) == "[]\n"
+
+    def test_cli_loads_neither_json_nor_csv(self):
+        # each is imported by the output path that writes it
+        assert self.loaded({"json", "csv"}) == "[]\n"

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, gcd
@@ -471,25 +472,41 @@ class TestBalancedSquare:
 
     def test_multiplies_only_half_the_block_pairs(self, monkeypatch):
         # each unordered pair of rows is multiplied once, and only when it
-        # feeds a term: a square below the top degree or a nonzero pair weight
+        # feeds a term: a square below the top degree or a nonzero pair
+        # weight; on tau, which equals its mirror, only the pairs whose
+        # merged nu is at most their merged mu, and on an asymmetric series
+        # every feeding pair
         import hurwitz_toda.series as series_module
         kernel = series_module._pair_product
-        convolved = []
+        multiplied = []
 
         def recorded(bv1, bv2, *targets):
-            convolved.append(frozenset((id(bv1), id(bv2))))
+            multiplied.append((frozenset((id(bv1), id(bv2))),
+                               frozenset((tuple(bv1), tuple(bv2)))))
             return kernel(bv1, bv2, *targets)
+
+        def merged(a, b):
+            return tuple(sorted(a + b, reverse=True))
 
         monkeypatch.setattr(series_module, "_pair_product", recorded)
         d_max = 6
         tau = build_tau(d_max, 3)
-        toda_residual(tau)
-        rows = sorted({key[0:1] + key[2:4] for key in tau.keys()})
-        feeds = [(a, b) for i, a in enumerate(rows) for b in rows[i:]
-                 if a[0] + b[0] < d_max
-                 or a[0] + b[0] == d_max and (a[1].count(1) - b[1].count(1))
-                 * (a[2].count(1) - b[2].count(1))]
-        assert len(convolved) == len(set(convolved)) == len(feeds)
+        lopsided = tau.with_coefficient(make_key(dq=3, b=1, mu=(2, 1), nu=(3,)), 7)
+        for x, half in ((tau, True), (lopsided, False)):
+            multiplied.clear()
+            toda_residual(x)
+            rows = sorted({key[0:1] + key[2:4] for key in x.keys()})
+            vectors = {row: tuple(sorted((key[1], n) for key, n in x._nums.items()
+                                         if key[0:1] + key[2:4] == row)) for row in rows}
+            feeds = [(a, b) for i, a in enumerate(rows) for b in rows[i:]
+                     if (a[0] + b[0] < d_max
+                         or a[0] + b[0] == d_max and (a[1].count(1) - b[1].count(1))
+                         * (a[2].count(1) - b[2].count(1)))
+                     and (not half or merged(a[2], b[2]) <= merged(a[1], b[1]))]
+            pairs = [ids for ids, _ in multiplied]
+            assert len(pairs) == len(set(pairs)) == len(feeds)
+            assert (Counter(content for _, content in multiplied)
+                    == Counter(frozenset((vectors[a], vectors[b])) for a, b in feeds))
 
 
 class TestShifts:

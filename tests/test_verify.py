@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 from math import factorial
@@ -198,9 +199,16 @@ def reference_toda_pairs(f):
     return f._same_caps(dict(_flat(out)), f._den * f._den * top)
 
 
+def mirrored(f):
+    """f with mu and nu swapped in every key."""
+    return f._same_caps({(dq, b, nu, mu, z, s): x
+                         for (dq, b, mu, nu, z, s), x in f._nums.items()}, f._den)
+
+
 class TestPairKernelReference:
-    """The pair kernel with integer pattern ids and targets filled in place,
-    against the same sums over tuple-keyed targets and dense pair products."""
+    """The pair kernel with integer pattern ids, targets filled in place,
+    the symmetric half and degree streaming, against the same sums over
+    tuple-keyed targets and dense pair products."""
 
     def test_tau_at_ten(self):
         tau = build_tau(10, 10)
@@ -209,6 +217,21 @@ class TestPairKernelReference:
             bad = corrupted(tau, key)
             assert toda_residual(bad) == reference_toda_pairs(bad)
 
+    @pytest.mark.parametrize("key, symmetric", [
+        (make_key(dq=2, mu=(1, 1), nu=(1, 1)), True),
+        (make_key(dq=3, b=2, mu=(2, 1), nu=(2, 1)), True),
+        (make_key(dq=3, b=1, mu=(2, 1), nu=(3,)), False),
+        (make_key(dq=3, mu=(1, 1, 1), nu=(2, 1)), False),
+    ])
+    def test_corruptions_at_ten(self, key, symmetric):
+        # a corruption on the diagonal keeps tau its own mirror, one off it
+        # does not and takes the full kernel
+        bad = corrupted(build_tau(10, 10), key)
+        assert (bad == mirrored(bad)) == symmetric
+        residual = toda_residual(bad)
+        assert not residual.is_zero()
+        assert residual == reference_toda_pairs(bad)
+
     @pytest.mark.parametrize("d_max", range(8))
     def test_random_series(self, d_max):
         # negative and rational coefficients, both beta parities in one row
@@ -216,6 +239,36 @@ class TestPairKernelReference:
         for _ in range(12):
             x = random_rows(rng, d_max, rng.randint(0, 6), rng.randint(1, 20))
             assert toda_residual(x) == reference_toda_pairs(x)
+
+    @pytest.mark.parametrize("d_max", range(8))
+    def test_symmetrized_random_series(self, d_max):
+        # the same draws as test_random_series, each with its mirror added
+        rng = random.Random(2300 + d_max)
+        for _ in range(12):
+            x = random_rows(rng, d_max, rng.randint(0, 6), rng.randint(1, 20))
+            x += mirrored(x)
+            assert x == mirrored(x)
+            assert toda_residual(x) == reference_toda_pairs(x)
+
+    def test_merging_a_pattern_is_strictly_increasing(self):
+        # the kernel's prefix of kept partners rests on this, over tuple order
+        patterns = sorted(p.parts for p in enumerate_partitions(8))
+        for fixed in patterns:
+            merged = [tuple(sorted(p + fixed, reverse=True)) for p in patterns]
+            assert all(a < b for a, b in zip(merged, merged[1:])), fixed
+
+    def test_traced_peak_at_ten(self):
+        # targets are held one degree at a time, on the symmetric half
+        tau = build_tau(10, 10)
+        peaks = []
+        for kernel in (toda_residual, reference_toda_pairs):
+            tracemalloc.start()
+            try:
+                kernel(tau)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 0.6 * peaks[1], peaks
 
 
 class TestTauN:
